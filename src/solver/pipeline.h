@@ -54,10 +54,11 @@ struct SolvabilityOptions {
   /// when the direct chromatic search fails.
   bool use_characterization = true;
   /// Worker threads for the pipeline and every decision-map search inside
-  /// it. 0 = hardware concurrency, 1 = sequential ladder. The verdict is
-  /// identical for every thread count; >= 2 additionally races the
-  /// impossibility lane against the possibility lane.
-  int threads = 0;
+  /// it. 1 (the default) = sequential ladder, 0 = hardware concurrency. The
+  /// verdict is identical for every thread count; >= 2 additionally races
+  /// the impossibility lane against the possibility lane. The default does
+  /// not depend on the host, so neither does the report.
+  int threads = 1;
   /// Lane scheduling policy (see PipelineSchedule).
   PipelineSchedule schedule = PipelineSchedule::kAuto;
   /// Memoize Ch^r across the radius ladder (SubdivisionLadder) instead of

@@ -92,6 +92,6 @@ SolvabilityResult decide_two_process(const Task& task,
 MapSearchResult colorless_probe(const Task& task, const SolvabilityOptions& options);
 MapSearchResult colorless_probe(const Task& task, int max_radius,
                                 std::size_t node_cap = 20'000'000,
-                                int threads = 0);
+                                int threads = 1);
 
 }  // namespace trichroma

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "io/report.h"
 #include "solver/map_search.h"
 #include "solver/pipeline.h"
 #include "solver/solvability.h"
@@ -141,6 +142,25 @@ TEST(Pipeline, ReportListsEveryEngineInCanonicalOrder) {
   EXPECT_EQ(r.report.engines[3].status, EngineStatus::Conclusive);
   EXPECT_EQ(r.report.engines[5].status, EngineStatus::Skipped);
   EXPECT_EQ(r.report.engines[6].status, EngineStatus::Skipped);
+}
+
+TEST(Pipeline, DefaultOptionsRenderTheSequentialLadderReport) {
+  // The default must not depend on the host. threads = 0 resolves to the
+  // core count, which races the lanes on any multi-core host; the default
+  // of 1 runs the sequential ladder everywhere, so every report renders
+  // byte-identical to an explicit threads = 1.
+  io::ReportJsonOptions json;
+  json.redact_timings = true;
+  SolvabilityOptions sequential;
+  sequential.threads = 1;
+  for (const zoo::CatalogEntry& entry : zoo::catalog()) {
+    const Task task = entry.build();
+    const std::string expected =
+        io::to_json(run_pipeline(task, sequential).report, json);
+    const std::string actual =
+        io::to_json(run_pipeline(task, SolvabilityOptions{}).report, json);
+    EXPECT_EQ(actual, expected) << entry.name;
+  }
 }
 
 TEST(Pipeline, DomainOverflowSurfacesInTheUnknownReason) {

@@ -111,8 +111,8 @@ int usage() {
                "                     p50/p99, critical path, worker utilization\n"
                "  version            print version, report schema and build type\n"
                "options:\n"
-               "  --threads N        pipeline + search workers (default: hardware\n"
-               "                     concurrency; 1 = sequential ladder)\n"
+               "  --threads N        pipeline + search workers (default: 1 = sequential\n"
+               "                     ladder; 0 = hardware concurrency)\n"
                "  --max-radius N     probe decision maps up to Ch^N (default: 2)\n"
                "  --node-cap N       search-node budget per probe (default: 20000000)\n"
                "  --jobs N           (batch) concurrent whole-task pipelines\n"
