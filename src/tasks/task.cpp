@@ -73,11 +73,16 @@ bool Task::is_canonical() const {
 bool Task::is_link_connected() const {
   const int top = input.dimension();
   for (const Simplex& sigma : input.simplices(top)) {
-    const auto image = CompiledComplex::compile(delta.image_complex(sigma));
-    const auto nv = static_cast<CompiledComplex::Local>(image->num_vertices());
-    for (CompiledComplex::Local y = 0; y < nv; ++y) {
-      if (!image->link_empty(y) && !image->link_connected(y)) return false;
-    }
+    if (!is_link_connected(sigma)) return false;
+  }
+  return true;
+}
+
+bool Task::is_link_connected(const Simplex& sigma) const {
+  const auto image = CompiledComplex::compile(delta.image_complex(sigma));
+  const auto nv = static_cast<CompiledComplex::Local>(image->num_vertices());
+  for (CompiledComplex::Local y = 0; y < nv; ++y) {
+    if (!image->link_empty(y) && !image->link_connected(y)) return false;
   }
   return true;
 }

@@ -35,14 +35,17 @@ struct Task {
   /// Convenience: true iff validate() reports nothing.
   bool is_valid() const { return validate().empty(); }
 
-  /// True iff the task is in canonical form: every output vertex is in the
-  /// image of exactly one input vertex (Section 3 of the paper).
+  /// True iff Δ is one-to-one in the sense of Section 3 of the paper: every
+  /// output simplex is a facet image of at most one input simplex. Images of
+  /// distinct input simplices may still share lower-dimensional faces.
   bool is_canonical() const;
 
   /// True iff for every input facet σ and vertex y ∈ Δ(σ), the link
   /// lk_{Δ(σ)}(y) is connected — i.e. the task has no local articulation
   /// points (Section 4).
   bool is_link_connected() const;
+  /// The same for one input facet σ: no LAP w.r.t. σ.
+  bool is_link_connected(const Simplex& sigma) const;
 
   /// Human-readable structural summary.
   std::string summary() const;
