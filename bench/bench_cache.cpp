@@ -130,15 +130,12 @@ BENCHMARK(BM_DecideSolvableSubsetWarm)->Unit(benchmark::kMillisecond);
 // of every ladder is rebuilt. Artifact-seeded deepen runs against a store
 // primed at radius 1, so each task either replays a budget sibling's
 // record (witness within the deeper budget) or seeds its ladder/Δ-image
-// artifacts and climbs only the missing rungs. Both force the kLadder
-// schedule: racing records are excluded from warm starts by contract, so
-// kAuto on a multi-core host would silently measure nothing.
+// artifacts and climbs only the missing rungs.
 void BM_DeepenSolvableSubsetCold(benchmark::State& state) {
   const std::vector<Task> tasks = build_subset();
   for (auto _ : state) {
     state.PauseTiming();
     SolvabilityOptions options;
-    options.schedule = PipelineSchedule::kLadder;
     options.max_radius = 2;
     options.cache_dir = fresh_store_dir();
     state.ResumeTiming();
@@ -161,7 +158,6 @@ void BM_DeepenSolvableSubsetSeeded(benchmark::State& state) {
     // exact-key hits and measure replay, not resumption.
     state.PauseTiming();
     SolvabilityOptions prime;
-    prime.schedule = PipelineSchedule::kLadder;
     prime.max_radius = 1;
     prime.cache_dir = fresh_store_dir();
     for (const Task& t : tasks) run_pipeline(t, prime);

@@ -1,12 +1,8 @@
-// Cold subdivision-ladder builds, sequential vs parallel. Each iteration
-// grows Ch^1..Ch^r of a catalog input from a fresh pool — exactly the work
-// a cold probe pays before its first search — so the rows time the
-// template-stamping substrate itself: Phase-1 canonical interning (always
-// sequential; it is what pins the id order), chunked facet stamping, and
-// the canonical-order merge. The parallel rows produce bit-identical
-// complexes (tests/topology_parallel_test.cpp); on a multi-core host they
-// show the stamping speedup, on the 1-core reference container they bound
-// the chunking/merge overhead of threads > 1.
+// Cold subdivision-ladder builds. Each iteration grows Ch^1..Ch^r of a
+// catalog input from a fresh pool — exactly the work a cold probe pays
+// before its first search — so the rows time the template-stamping
+// substrate itself (canonical-order interning, facet stamping, the
+// compiled snapshot).
 
 #include <benchmark/benchmark.h>
 
@@ -20,47 +16,45 @@ namespace {
 
 using namespace trichroma;
 
+// The trailing argument is always 1: it keeps the row names (e.g.
+// BM_ColdLadderBuild/3/1) that the committed baseline and ROADMAP cite.
+
 // Cold Ch^r tower of the hourglass input (one base triangle: the densest
-// per-facet growth, 13^r facets) at radius r = range(0), threads = range(1).
+// per-facet growth, 13^r facets) at radius r = range(0).
 void BM_ColdLadderBuild(benchmark::State& state) {
   const int radius = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   std::size_t facets = 0;
   for (auto _ : state) {
     const Task task = zoo::hourglass();
     const SubdividedComplex top =
-        chromatic_subdivision(*task.pool, task.input, radius, threads);
+        chromatic_subdivision(*task.pool, task.input, radius);
     facets = top.complex.count(top.complex.dimension());
     benchmark::DoNotOptimize(facets);
   }
   state.counters["radius"] = static_cast<double>(radius);
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["facets"] = static_cast<double>(facets);
 }
 BENCHMARK(BM_ColdLadderBuild)
-    ->ArgsProduct({{1, 2, 3}, {1, 2, 4}})
+    ->ArgsProduct({{1, 2, 3}, {1}})
     ->Unit(benchmark::kMillisecond);
 
-// The same sweep over a wider base (the 6-facet set-agreement input): more
-// base simplices per dimension means more, smaller chunks — the shape the
-// facet-weighted chunk boundaries were built for.
+// The same build over a wider base (the 6-facet set-agreement input): more
+// base simplices per dimension.
 void BM_ColdLadderBuildWide(benchmark::State& state) {
   const int radius = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   std::size_t facets = 0;
   for (auto _ : state) {
     const Task task = zoo::set_agreement_32();
     const SubdividedComplex top =
-        chromatic_subdivision(*task.pool, task.input, radius, threads);
+        chromatic_subdivision(*task.pool, task.input, radius);
     facets = top.complex.count(top.complex.dimension());
     benchmark::DoNotOptimize(facets);
   }
   state.counters["radius"] = static_cast<double>(radius);
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["facets"] = static_cast<double>(facets);
 }
 BENCHMARK(BM_ColdLadderBuildWide)
-    ->ArgsProduct({{2}, {1, 2, 4}})
+    ->ArgsProduct({{2}, {1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -77,7 +77,7 @@ void reproduce() {
   // The word-parallel search counters (search.propagate.fastpath_skips,
   // search.arena.bytes_reserved, ladder.template.stamps) charge plain
   // locals on the hot path and flush one relaxed fetch_add per
-  // deterministic site — per search, per prefix job, per subdivision
+  // deterministic site — per search, per prefix walk, per subdivision
   // build — never per node. Their always-on cost is therefore bounded by
   // (flush sites per decide) x (cost per atomic add), held to the same
   // < 2% contract as the trace points.
@@ -92,7 +92,6 @@ void reproduce() {
   const double probe_ns = seconds_since(t_probe) * 1e9;
   const std::uint64_t flush_sites =
       registry.counter("map_search.searches").value() +
-      registry.counter("map_search.prefix_jobs").value() +
       registry.counter("topology.subdivide.builds").value();
   std::printf("new counters after one decide: fastpath_skips=%llu, "
               "arena_bytes=%llu, template_stamps=%llu\n",
@@ -230,7 +229,6 @@ BENCHMARK(BM_GaugeSet);
 // + rename) happens on the heartbeat thread, off the driver's path.
 BatchOptions heartbeat_bench_options() {
   BatchOptions options;
-  options.solve.threads = 1;
   options.solve.max_radius = 1;
   options.jobs = 1;
   options.only = {"identity", "consensus_2"};

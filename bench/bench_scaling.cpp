@@ -1,13 +1,9 @@
-// Multi-core scaling suite: the executor's two parallel layers swept over
-// worker counts 1/2/4/8. BM_BatchJobs scales whole-task pipelines (the
-// embarrassingly parallel layer: one catalog task per executor job);
-// BM_PrefixSearchThreads scales one decision-map search (the fine-grained
-// layer: DFS-ordered prefix jobs racing under canonical accounting). On a
-// multi-core host the curves show real speedup; on the 1-core reference
-// container they document that extra workers cost nothing. Either way every
-// row computes the identical result — the determinism contract makes the
-// thread count a pure scheduling knob, which is what lets this suite
-// compare rows at all.
+// Multi-core scaling: BM_BatchJobs sweeps whole-task pipelines (one
+// catalog task per executor job) over worker counts 1/2/4/8 — the one
+// parallel layer. On a multi-core host the curve shows real speedup; on a
+// 1-core container it documents that extra workers cost nothing. Every row
+// computes the identical result, which is what lets this suite compare
+// rows at all.
 
 #include <benchmark/benchmark.h>
 
@@ -15,9 +11,6 @@
 
 #include "bench_util.h"
 #include "solver/batch.h"
-#include "solver/map_search.h"
-#include "tasks/zoo.h"
-#include "topology/subdivision.h"
 
 namespace {
 
@@ -39,57 +32,6 @@ void BM_BatchJobs(benchmark::State& state) {
   state.counters["jobs"] = static_cast<double>(jobs);
 }
 BENCHMARK(BM_BatchJobs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// One hard decision-map search at increasing --threads: the chromatic probe
-// of (3,2)-set agreement on Ch^1, node-capped so every row does the same
-// canonically-accounted work. Warm caches (shared ladder + image cache), so
-// rows time the search itself, not CSP compilation.
-void BM_PrefixSearchThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const Task task = zoo::set_agreement_32();
-  SubdivisionLadder ladder(*task.pool, task.input);
-  const SubdividedComplex& domain = ladder.at(1);
-  DeltaImageCache images;
-  MapSearchOptions options;
-  options.chromatic = true;
-  options.threads = threads;
-  options.node_cap = 300'000;
-  options.image_cache = &images;
-  // Warm the image/mask caches once so every iteration hits.
-  find_decision_map(*task.pool, domain, task, options);
-  std::size_t nodes = 0;
-  for (auto _ : state) {
-    const MapSearchResult res =
-        find_decision_map(*task.pool, domain, task, options);
-    nodes = res.nodes_explored;
-    benchmark::DoNotOptimize(res.found);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["nodes"] = static_cast<double>(nodes);
-}
-BENCHMARK(BM_PrefixSearchThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// Cold Ch^2 tower build at increasing threads: the third parallel layer
-// (chunked template stamping, see bench_ladder.cpp for the full radius
-// sweep). Unlike the layers above, the sequential Phase-1 interning bounds
-// the achievable speedup (Amdahl), so the curve saturates earlier than the
-// search's.
-void BM_LadderBuildThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  std::size_t facets = 0;
-  for (auto _ : state) {
-    const Task task = zoo::set_agreement_32();
-    const SubdividedComplex top =
-        chromatic_subdivision(*task.pool, task.input, 2, threads);
-    facets = top.complex.count(top.complex.dimension());
-    benchmark::DoNotOptimize(facets);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["facets"] = static_cast<double>(facets);
-}
-BENCHMARK(BM_LadderBuildThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -249,9 +249,7 @@ struct CornerSearch {
 
   std::size_t nodes_explored = 0;
   std::size_t node_cap = kDefaultCornerNodeCap;
-  const std::atomic<bool>* cancel = nullptr;
   bool exhausted = true;
-  bool cancelled = false;
 
   explicit CornerSearch(const Task& t) : task(t) {
     inputs = task.input.vertex_ids();
@@ -295,11 +293,6 @@ struct CornerSearch {
         exhausted = false;
         return false;
       }
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-        exhausted = false;
-        cancelled = true;
-        return false;
-      }
       assign[i] = candidate;
       bool ok = true;
       for (std::size_t k : edges_touching[i]) {
@@ -322,12 +315,10 @@ struct CornerSearch {
 
 }  // namespace
 
-ConnectivityCsp connectivity_csp(const Task& task, std::size_t node_cap,
-                                 const std::atomic<bool>* cancel) {
+ConnectivityCsp connectivity_csp(const Task& task, std::size_t node_cap) {
   ConnectivityCsp result;
   CornerSearch search(task);
   search.node_cap = node_cap;
-  search.cancel = cancel;
   const bool found = search.search([&](const std::vector<VertexId>& assign) {
     for (std::size_t i = 0; i < search.inputs.size(); ++i) {
       result.witness.emplace(search.inputs[i], assign[i]);
@@ -336,7 +327,6 @@ ConnectivityCsp connectivity_csp(const Task& task, std::size_t node_cap,
   });
   result.feasible = found;
   result.exhausted = search.exhausted;
-  result.cancelled = search.cancelled;
   result.nodes_explored = search.nodes_explored;
   if (!found) {
     result.detail = search.exhausted
@@ -349,12 +339,10 @@ ConnectivityCsp connectivity_csp(const Task& task, std::size_t node_cap,
 
 HomologyObstruction homology_boundary_check(const Task& task,
                                             const std::vector<long long>& primes,
-                                            std::size_t node_cap,
-                                            const std::atomic<bool>* cancel) {
+                                            std::size_t node_cap) {
   HomologyObstruction result;
   CornerSearch search(task);
   search.node_cap = node_cap;
-  search.cancel = cancel;
   const VertexPool& pool = *task.pool;
 
   // Pre-compute, per input facet, its boundary edges in cyclic order
@@ -430,7 +418,6 @@ HomologyObstruction homology_boundary_check(const Task& task,
   });
   result.feasible = found;
   result.exhausted = search.exhausted;
-  result.cancelled = search.cancelled;
   result.nodes_explored = search.nodes_explored;
   if (!found) {
     result.detail = last_failure.empty()

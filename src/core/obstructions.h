@@ -33,7 +33,6 @@
 // (Theorem 5.1 reduces solvability of T to colorless solvability of T′);
 // engines 1 and 2 are the paper's pre-split statements.
 
-#include <atomic>
 #include <cstddef>
 #include <string>
 #include <unordered_map>
@@ -58,7 +57,6 @@ constexpr std::size_t kDefaultCornerNodeCap = 2'000'000;
 struct ConnectivityCsp {
   bool feasible = false;
   bool exhausted = true;  ///< false if the search hit its node cap
-  bool cancelled = false;  ///< stopped by the caller's cancellation flag
   /// Corner-assignment backtracking nodes visited.
   std::size_t nodes_explored = 0;
   /// A satisfying corner assignment x ↦ f(x), when feasible.
@@ -66,17 +64,13 @@ struct ConnectivityCsp {
   std::string detail;
 };
 
-/// `node_cap` bounds the corner-assignment backtracking; `cancel` (borrowed,
-/// may be null) is polled at every node and stops the search cooperatively,
-/// reporting exhausted = false and cancelled = true.
+/// `node_cap` bounds the corner-assignment backtracking.
 ConnectivityCsp connectivity_csp(const Task& task,
-                                 std::size_t node_cap = kDefaultCornerNodeCap,
-                                 const std::atomic<bool>* cancel = nullptr);
+                                 std::size_t node_cap = kDefaultCornerNodeCap);
 
 struct HomologyObstruction {
   bool feasible = false;  ///< some corner assignment passes every facet
   bool exhausted = true;
-  bool cancelled = false;  ///< stopped by the caller's cancellation flag
   /// Corner-assignment backtracking nodes visited.
   std::size_t nodes_explored = 0;
   std::string detail;
@@ -85,11 +79,10 @@ struct HomologyObstruction {
 /// `primes`: the coefficient fields the boundary loop is required to bound
 /// over. Any prime yields a sound certificate; {2, 3} (the default) also
 /// catches even-winding failures that GF(2) alone cannot see (see
-/// zoo::twisted_hourglass and the ablation bench). Budget and cancellation
-/// as in connectivity_csp.
+/// zoo::twisted_hourglass and the ablation bench). Budget as in
+/// connectivity_csp.
 HomologyObstruction homology_boundary_check(
     const Task& task, const std::vector<long long>& primes = {2, 3},
-    std::size_t node_cap = kDefaultCornerNodeCap,
-    const std::atomic<bool>* cancel = nullptr);
+    std::size_t node_cap = kDefaultCornerNodeCap);
 
 }  // namespace trichroma

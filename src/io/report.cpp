@@ -131,15 +131,15 @@ void emit_engine(Builder& b, const EngineReport& e,
 // v7: the "cache" field gained the "artifacts" value (warm start from a
 // stored sibling record or ladder/Δ-image artifacts) and the metrics cache
 // line gained "seeded_levels". The grep contract below is unchanged.
-// v8: metrics gained the "ladder" sub-object (parallel-build telemetry:
-// chunks stamped, merge wall time, Δ-population stripe contention). Like
-// "executor" it is scheduling-dependent and zeroed under redact_timings.
+// v8: metrics gained the "ladder" sub-object (parallel-build telemetry).
 // v9: per-run attribution. Engines gained the deterministic "domain_sizes"
 // histogram and "level_facets" ladder profile; a top-level "run" object
 // carries the phase latency breakdown (zeroed under redact_timings), the
 // cache tier + seeded levels (on a `"cache":` line, see the grep contract),
 // and deterministic rollups of the new per-engine distributions.
-const char* report_schema() { return "trichroma.pipeline-report/9"; }
+// v10: metrics lost the "executor" and "ladder" sub-objects (a decide no
+// longer runs anything they measured).
+const char* report_schema() { return "trichroma.pipeline-report/10"; }
 
 std::string to_json(const PipelineReport& report,
                     const ReportJsonOptions& options) {
@@ -163,10 +163,9 @@ std::string to_json(const PipelineReport& report,
   b.field("reuse_images", bool_str(report.options.reuse_images));
   b.close('}');
 
-  // Schema v3 dropped the options' thread fields: every solver quantity in
-  // this report is thread-count independent (canonical prefix accounting),
-  // so recording the worker count only created spurious diffs between
-  // otherwise identical runs. The resolved lane schedule replaces them.
+  // Schema v3 dropped the options' thread fields (the worker count only
+  // created spurious diffs between otherwise identical runs) and added the
+  // resolved schedule.
   b.field("schedule", quote(report.schedule));
   // Schema v6: the verdict-store outcome. Deliberately a single line (as is
   // the metrics "cache" rollup below) so byte-comparisons between warm and
@@ -178,11 +177,8 @@ std::string to_json(const PipelineReport& report,
   b.field("reason", quote(report.reason));
   b.field("radius", std::to_string(report.radius));
   b.field("via_characterization", bool_str(report.via_characterization));
-  // Explicit tri-state-avoiding marker: the characterization payload being
-  // absent is semantically different from it not having been attempted (at
-  // >= 2 threads the probe can win the race before the lane finishes).
-  // Consumers dispatching on "computed" never have to treat a missing or
-  // null field as meaningful.
+  // Explicit marker: consumers dispatching on "computed" never have to
+  // treat a missing or null field as meaningful.
   b.field("characterization", quote(report.characterization_computed
                                         ? "computed"
                                         : "not-computed"));
@@ -194,7 +190,7 @@ std::string to_json(const PipelineReport& report,
   // tier + seeded levels on a single `"cache":` line (grep contract, see
   // the top-level field); the rollups are sums/concatenations of the
   // deterministic per-engine distributions, byte-identical at every
-  // --jobs/--threads combination under the "exact"/"ladder" schedules.
+  // --jobs value.
   b.open("run", '{');
   b.open("phases", '{');
   b.field("consult_ms",
@@ -232,9 +228,7 @@ std::string to_json(const PipelineReport& report,
   b.close('}');
 
   // Schema v4 "metrics": rollups computed here from the per-engine fields —
-  // they are sums of deterministic quantities, so they stay byte-identical
-  // at every thread count. The executor sub-object is the one scheduling-
-  // dependent part and is redacted with the wall clocks.
+  // sums of deterministic quantities.
   std::size_t nodes_total = 0, img_hits = 0, img_misses = 0;
   std::size_t mask_hits = 0, mask_misses = 0;
   for (const EngineReport& e : report.engines) {
@@ -244,8 +238,6 @@ std::string to_json(const PipelineReport& report,
     mask_hits += e.edge_mask_hits;
     mask_misses += e.edge_mask_misses;
   }
-  const ExecutorStats exec =
-      options.redact_timings ? ExecutorStats{} : report.executor_stats;
   b.open("metrics", '{');
   b.field("nodes_explored_total", std::to_string(nodes_total));
   b.open("image_cache", '{');
@@ -255,21 +247,6 @@ std::string to_json(const PipelineReport& report,
   b.open("edge_masks", '{');
   b.field("hits", std::to_string(mask_hits));
   b.field("misses", std::to_string(mask_misses));
-  b.close('}');
-  b.open("executor", '{');
-  b.field("jobs_run", std::to_string(exec.jobs_run));
-  b.field("steals", std::to_string(exec.steals));
-  b.field("injections", std::to_string(exec.injections));
-  b.field("max_queue_depth", std::to_string(exec.max_queue_depth));
-  b.field("help_runs", std::to_string(exec.help_runs));
-  b.close('}');
-  const PipelineReport::LadderBuildStats ladder =
-      options.redact_timings ? PipelineReport::LadderBuildStats{}
-                             : report.ladder_stats;
-  b.open("ladder", '{');
-  b.field("parallel_chunks", std::to_string(ladder.parallel_chunks));
-  b.field("merge_ns", std::to_string(ladder.merge_ns));
-  b.field("stripe_contention", std::to_string(ladder.stripe_contention));
   b.close('}');
   // One line by construction (see the top-level "cache" field).
   b.field("cache", "{ \"hits\": " + std::to_string(report.cache_hits) +

@@ -2,9 +2,12 @@
 // Structured JSON rendering of a pipeline run (solver/pipeline.h).
 //
 // The schema is versioned: every document carries
-//   "schema": "trichroma.pipeline-report/9"
-// and consumers should dispatch on it. Version 9 added per-run
-// attribution (Telemetry v2): each engine carries its deterministic
+//   "schema": "trichroma.pipeline-report/10"
+// and consumers should dispatch on it. Version 10 dropped the "executor"
+// and "ladder" sub-objects of "metrics": a decide is single-threaded, so
+// their values (shared-pool scheduling deltas, parallel-build chunk and
+// stripe counters) no longer came from anything it ran. Version 9 added
+// per-run attribution (Telemetry v2): each engine carries its deterministic
 // "domain_sizes" histogram (base-2 bucketed CSP candidate-domain sizes,
 // rendered `{ "count", "sum", "buckets": [..] }` on one line) and
 // "level_facets" ladder profile (top-dimensional facet count of Ch^r per
@@ -24,33 +27,28 @@
 // "domain_overflow" array (probe rungs whose CSP exceeded the 64-value
 // word-parallel domain width — a representation limit distinct from a
 // budget cap) and the executor's "help_runs" counter (tasks drained inline
-// by a blocked wait()). Version 4 added the "metrics"
-// section: deterministic rollups over the engines (node and cache totals,
-// identical at every thread count) plus the shared executor's scheduling
-// telemetry, which IS timing-dependent and is therefore zeroed under
-// `redact_timings` exactly like the wall clocks. Version 3 dropped the
-// options' "threads"/"threads_resolved" fields (every solver quantity in
-// the report is thread-count independent since the canonical prefix
-// accounting; the worker count only produced spurious diffs) and added the
-// resolved lane "schedule". Version 2 was v1 + the explicit
-// "characterization" marker — previously an absent payload was
-// indistinguishable from a lane that never ran:
+// by a blocked wait()). Version 4 added the "metrics" section:
+// deterministic rollups over the engines (node and cache totals) plus the
+// shared executor's scheduling telemetry. Version 3 dropped the options'
+// "threads"/"threads_resolved" fields (the worker count only produced
+// spurious diffs) and added the resolved "schedule". Version 2 was v1 +
+// the explicit "characterization" marker — previously an absent payload
+// was indistinguishable from an engine that never ran:
 //
 //   {
-//     "schema": "trichroma.pipeline-report/9",
+//     "schema": "trichroma.pipeline-report/10",
 //     "task": { "name", "num_processes", "input_facets", "output_facets" },
 //     "options": { "max_radius", "node_cap", "use_characterization",
 //                  "reuse_subdivisions", "reuse_images" },
-//     "schedule": "exact" | "ladder" | "racing",
+//     "schedule": "exact" | "ladder",
 //     "cache": "off" | "hit" | "miss",
 //     "verdict": "SOLVABLE" | "UNSOLVABLE" | "UNKNOWN",
 //     "reason": string,
 //     "radius": int,                  // -1 when no map search witness
 //     "via_characterization": bool,
 //     "characterization": "computed" | "not-computed",
-//         // whether the characterization lane finished; "not-computed"
-//         // covers both the disabled route and a lane cancelled by the
-//         // winning probe at threads >= 2
+//         // whether the characterization engine ran; "not-computed" when
+//         // the route is disabled or does not apply (n != 3)
 //     "total_wall_ms": number,
 //     "run": {
 //       "phases": { "consult_ms", "engines_ms", "publish_ms" },
@@ -67,11 +65,6 @@
 //       "nodes_explored_total": int,   // sum over engines (deterministic)
 //       "image_cache": { "hits", "misses" },   // sums over engines
 //       "edge_masks": { "hits", "misses" },    // sums over engines
-//       "executor": { "jobs_run", "steals", "injections",
-//                     "max_queue_depth", "help_runs" },
-//           // scheduling telemetry: nondeterministic, zeroed under
-//           // redact_timings (deltas over the run; max_queue_depth is the
-//           // pool's cumulative high-water mark)
 //       "cache": { "hits", "misses", "store_bytes" }
 //           // verdict-store rollup, rendered on one line (see above)
 //     },
@@ -93,9 +86,8 @@
 //
 // The emitter is hand-rolled (no third-party JSON dependency) and produces
 // deterministic, stably ordered output — with `redact_timings` the document
-// is byte-for-byte reproducible at every thread count under the "exact"
-// and "ladder" schedules (the batch driver relies on this), and at
-// threads = 1 under "racing", which is what the golden test pins.
+// is a byte-for-byte reproducible function of the task and budget (the
+// batch driver and the golden test rely on this).
 
 #include <string>
 

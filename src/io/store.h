@@ -14,12 +14,11 @@
 // every engine entry minus wall clocks). They are keyed by the fingerprint
 // AND an options digest: the verdict, the engine statuses, and even the
 // node counts are functions of the budget (max_radius, node_cap, route
-// flags) and of the *resolved* schedule ("ladder" reports and "racing"
-// reports differ by contract), so records for different budgets never
-// alias. Worker-thread counts are deliberately NOT part of the key — every
-// stored quantity is thread-count independent (see solver/pipeline.h), and
-// that is precisely what makes a cache hit byte-identical to the cold run
-// it replays.
+// flags) and of the *resolved* schedule ("exact" and "ladder" reports list
+// different engines), so records for different budgets never alias. Every
+// stored quantity is a pure function of the task and that key (see
+// solver/pipeline.h), which is precisely what makes a cache hit
+// byte-identical to the cold run it replays.
 //
 // Artifacts are serialized in the *canonical index space* of the labeling:
 // a ladder tower or Δ-image table written by one task loads against any

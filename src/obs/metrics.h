@@ -10,14 +10,14 @@
 //
 // Naming scheme: dotted lower-case paths, layer first —
 //   executor.*      the work-stealing pool (also exposed as ExecutorStats)
-//   map_search.*    find_decision_map (prefix jobs, cap hits, nodes)
+//   map_search.*    find_decision_map (searches, cap hits, overflows)
 //   search.*        search-shape distributions (CSP domain sizes, ...)
-//   pipeline.*      lane scheduling, engine outcomes, run latencies
+//   pipeline.*      runs, engine outcomes, run latencies
 //   topology.*      substrate builds (subdivide, compile, lap scans)
 //   ladder.*        subdivision-ladder shape (per-level facet counts)
 //   cache.*         DeltaImageCache images/masks and the verdict store
 //   batch.*         the batch driver
-// Trace span names use slash-separated paths instead ("map_search/prefix");
+// Trace span names use slash-separated paths instead ("map_search/build_csp");
 // the dot/slash split keeps counter tracks and timeline spans visually
 // distinct in Perfetto.
 //

@@ -135,7 +135,7 @@ class Span {
 #define TRI_SPAN_CONCAT_INNER(a, b) a##b
 #define TRI_SPAN_CONCAT(a, b) TRI_SPAN_CONCAT_INNER(a, b)
 /// Scoped span; accepts the Span constructor forms:
-///   TRI_SPAN("map_search/prefix");
+///   TRI_SPAN("map_search/build_csp");
 ///   TRI_SPAN("engine/", engine_name);
 ///   TRI_SPAN("probe/r=", static_cast<long long>(r));
 #define TRI_SPAN(...) \

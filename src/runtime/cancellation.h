@@ -1,9 +1,9 @@
 #pragma once
 // Cooperative cancellation: the one-way flag shared by the executor's job
-// groups and the solver's analysis engines. A scheduler trips the flag;
-// workers poll it at natural yield points (search-node flushes, probe-radius
-// boundaries, task pickup) and unwind promptly. Lives in runtime/ because
-// the executor hands one to every JobGroup; solver/engine.h re-exports it.
+// groups and the solver's analysis engines. A scheduler trips the flag; the
+// executor checks it at task pickup, and AnalysisEngine::run checks it once
+// before an engine starts. Lives in runtime/ because every executor job
+// group owns one; solver/engine.h re-exports it.
 
 #include <atomic>
 
@@ -17,8 +17,6 @@ class CancellationToken {
 
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
   bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }
-  /// The raw flag, for plumbing into MapSearchOptions / connectivity_csp.
-  const std::atomic<bool>* flag() const { return &stop_; }
 
  private:
   std::atomic<bool> stop_{false};

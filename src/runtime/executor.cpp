@@ -114,8 +114,8 @@ struct GroupCore {
       // Spans the job body whether a pool worker won the ticket or a
       // helping waiter drained it inline — both are job executions. The
       // latency histogram covers the same extent (pool jobs are chunky —
-      // ladder chunks, search prefixes — so two clock reads per job stay
-      // far inside the obs overhead contract; see bench_obs).
+      // whole batch task loops — so two clock reads per job stay far
+      // inside the obs overhead contract; see bench_obs).
       TRI_SPAN("executor/job");
       static obs::Histogram& latency =
           obs::MetricsRegistry::global().histogram("executor.job_latency_ns");
@@ -268,10 +268,6 @@ bool JobGroup::cancelled() const { return core_->token.stop_requested(); }
 
 CancellationToken& JobGroup::token() { return core_->token; }
 
-const std::atomic<bool>* JobGroup::cancel_flag() const {
-  return core_->token.flag();
-}
-
 // ---------------------------------------------------------------------------
 // Executor
 // ---------------------------------------------------------------------------
@@ -320,17 +316,6 @@ void Executor::ensure_workers(int n) {
 
 int Executor::workers_spawned() const {
   return spawned_.load(std::memory_order_acquire);
-}
-
-std::size_t Executor::recommended_chunks(int workers, std::size_t items) {
-  if (items == 0) return 0;
-  if (workers <= 1) return 1;
-  // 4 chunks per worker: coarse enough that per-chunk overhead (a builder, a
-  // hash set, a JobGroup ticket) stays negligible, fine enough that one slow
-  // chunk cannot serialize the tail.
-  const std::size_t target =
-      static_cast<std::size_t>(workers > kMaxWorkers ? kMaxWorkers : workers) * 4;
-  return target < items ? target : items;
 }
 
 int Executor::current_worker_index() const {

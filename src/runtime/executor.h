@@ -1,7 +1,7 @@
 #pragma once
-// The shared work-stealing executor: one persistent worker pool serving
-// every parallel layer of the solver (prefix jobs inside find_decision_map,
-// the racing pipeline's impossibility lane, whole-task batch jobs).
+// The shared work-stealing executor: one persistent worker pool behind the
+// batch driver's whole-task jobs (`run_batch`, `trichroma batch --jobs`).
+// A decide is single-threaded; the pool is never touched inside one.
 //
 // Job model. Work is submitted through a JobGroup — a hierarchical handle
 // that owns a queue of closures, a CancellationToken, and the first
@@ -27,11 +27,14 @@
 // non-worker threads go to a global injection deque that every worker
 // checks between steals.
 //
+// Nested groups, cancellation and help-while-waiting are general, but the
+// only caller today is run_batch's flat fan-out (one root group per phase,
+// cancelled only when a task throws).
+//
 // Determinism. The executor itself promises nothing about ordering; the
-// solver's determinism contract is enforced a layer up (map_search's
-// canonical prefix accounting, the pipeline's precedence merge, the batch
-// driver's catalog-order output), which is exactly what makes stealing
-// safe to use underneath.
+// batch driver's determinism contract is enforced a layer up (independent
+// tasks, catalog-order output), which is exactly what makes stealing safe
+// to use underneath.
 
 #include <atomic>
 #include <condition_variable>
@@ -52,7 +55,7 @@ class Executor;
 /// Scheduling-telemetry snapshot (Executor::stats). Values are cumulative
 /// since construction or the last reset_stats(). Pure observability: none
 /// of these feed back into scheduling, and all are nondeterministic across
-/// runs (reports redact them under redact_timings).
+/// runs.
 struct ExecutorStats {
   std::uint64_t jobs_run = 0;    ///< tickets that executed a queued closure
   std::uint64_t steals = 0;      ///< tickets taken from another worker's deque
@@ -99,13 +102,12 @@ class JobGroup {
 
   bool cancelled() const;
   CancellationToken& token();
-  const std::atomic<bool>* cancel_flag() const;
 
  private:
   std::shared_ptr<exec_detail::GroupCore> core_;
 };
 
-/// The pool. One process-wide instance (global()) is shared by the solver;
+/// The pool. One process-wide instance (global()) serves the batch driver;
 /// tests construct private ones. Workers are started lazily via
 /// ensure_workers and live until destruction — repeated submissions reuse
 /// them, which is the point (no per-call spawn/join).
@@ -119,7 +121,7 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// The process-wide pool used by the solver layers.
+  /// The process-wide pool used by the batch driver.
   static Executor& global();
 
   /// Grows the pool so at least `n` workers exist (clamped to kMaxWorkers;
@@ -130,22 +132,14 @@ class Executor {
   /// Index of the calling worker thread in THIS executor, or -1.
   int current_worker_index() const;
 
-  /// Cumulative scheduling telemetry. Racing reads while work is in flight
-  /// are fine (each field is individually atomic); for exact values quiesce
+  /// Cumulative scheduling telemetry. Reads while work is in flight are
+  /// fine (each field is individually atomic); for exact values quiesce
   /// first (wait() on every group).
   ExecutorStats stats() const;
   /// Zeroes the telemetry — call between batches to scope stats to one run.
   void reset_stats();
 
   static constexpr int kMaxWorkers = 64;
-
-  /// Chunk-count heuristic for data-parallel fan-out (the chunked
-  /// subdivision build, the striped Δ-image population): enough chunks per
-  /// worker that stealing can smooth imbalance, capped at the item count. A
-  /// pure function of (workers, items) — never of runtime load — so the
-  /// decomposition is reproducible; and because every consumer merges chunks
-  /// in deterministic order, the chunk count itself never reaches a report.
-  static std::size_t recommended_chunks(int workers, std::size_t items);
 
  private:
   friend class JobGroup;

@@ -1,8 +1,10 @@
 #include "solver/batch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -24,6 +26,24 @@ namespace {
 std::size_t top_facet_count(const SimplicialComplex& k) {
   const int top = k.dimension();
   return top < 0 ? 0 : k.count(top);
+}
+
+// Runs `loop` on up to `jobs` threads at once over `slots` work items:
+// `jobs - 1` executor jobs plus the calling thread. Each loop claims slots
+// from a shared counter until none are left.
+void fan_out(int jobs, std::size_t slots, const std::function<void()>& loop) {
+  if (jobs <= 1 || slots <= 1) {
+    loop();
+    return;
+  }
+  Executor& executor = Executor::global();
+  executor.ensure_workers(jobs - 1);
+  JobGroup group(executor);
+  const std::size_t extra =
+      std::min<std::size_t>(static_cast<std::size_t>(jobs) - 1, slots - 1);
+  for (std::size_t w = 0; w < extra; ++w) group.submit(loop);
+  loop();
+  group.wait();
 }
 
 }  // namespace
@@ -59,8 +79,7 @@ BatchResult run_batch(const BatchOptions& options) {
     }
   }
 
-  SolvabilityOptions per_task = options.solve;
-  per_task.schedule = PipelineSchedule::kLadder;
+  const SolvabilityOptions& per_task = options.solve;
 
   BatchResult out;
   out.tasks.resize(selected.size());
@@ -96,18 +115,7 @@ BatchResult run_batch(const BatchOptions& options) {
         }
       }
     };
-    if (jobs > 1 && selected.size() > 1) {
-      Executor& executor = Executor::global();
-      executor.ensure_workers(jobs - 1);
-      JobGroup group(executor);
-      const std::size_t extra = std::min<std::size_t>(
-          static_cast<std::size_t>(jobs) - 1, selected.size() - 1);
-      for (std::size_t w = 0; w < extra; ++w) group.submit(fingerprint_slots);
-      fingerprint_slots();
-      group.wait();
-    } else {
-      fingerprint_slots();
-    }
+    fan_out(jobs, selected.size(), fingerprint_slots);
     std::unordered_map<std::string, std::size_t> first_slot;
     for (std::size_t i = 0; i < selected.size(); ++i) {
       if (fp_hex[i].empty()) continue;  // build threw: no dedup for this slot
@@ -133,10 +141,9 @@ BatchResult run_batch(const BatchOptions& options) {
   }
 
   // One self-scheduling loop per driver: `jobs - 1` on the executor plus the
-  // caller, so at most `jobs` pipelines run at once while idle workers still
-  // steal the searches' inner prefix jobs. Tasks are built inside the loop —
-  // each owns a fresh pool, so the builds are race-free — and each writes
-  // only its own slot.
+  // caller, so at most `jobs` pipelines run at once. Tasks are built inside
+  // the loop — each owns a fresh pool, so the builds are race-free — and
+  // each writes only its own slot.
   std::atomic<std::size_t> next{0};
   auto drive = [&selected, &per_task, &out, &next, &dup_of, &completed] {
     static obs::Counter& tasks_done =
@@ -156,19 +163,7 @@ BatchResult run_batch(const BatchOptions& options) {
       completed.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  if (jobs > 1 && selected.size() > 1) {
-    Executor& executor = Executor::global();
-    executor.ensure_workers(jobs - 1);
-    JobGroup group(executor);
-    const std::size_t extra =
-        std::min<std::size_t>(static_cast<std::size_t>(jobs) - 1,
-                              selected.size() - 1);
-    for (std::size_t w = 0; w < extra; ++w) group.submit(drive);
-    drive();
-    group.wait();
-  } else {
-    drive();
-  }
+  fan_out(jobs, selected.size(), drive);
 
   // Isomorphic-twin replays: the dedup pre-pass runs in slot order, so a
   // dup's twin always has a lower index and its report is final here. The

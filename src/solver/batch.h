@@ -5,21 +5,19 @@
 //
 // Concurrency model. The driver submits `jobs - 1` task-loop jobs to the
 // executor and runs one loop itself (the caller is always a worker), so at
-// most `jobs` whole-task pipelines are in flight at once. Each pipeline is
+// most `jobs` whole-task pipelines are in flight at once. This is the only
+// parallelism in the solver: each pipeline is single-threaded and
 // self-contained — every task is built fresh inside its loop iteration, so
 // it owns its vertex pool, and each engine run owns its SubdivisionLadder
-// and DeltaImageCache — while the decision-map searches *inside* a pipeline
-// still split into prefix jobs that idle workers steal. Outer and inner
-// parallelism share one pool; nothing is oversubscribed.
+// and DeltaImageCache.
 //
-// Determinism. Per-task pipelines run under the kLadder schedule, whose
-// engine statuses are a pure function of the task and budget, and the
-// searches inside use canonical prefix accounting — so every field of every
-// report except wall-clock timings is identical for any `jobs` value and
-// any search thread count. Results come back in catalog order. Rendering
-// the reports with ReportJsonOptions::redact_timings therefore yields
-// byte-identical files no matter how the batch was scheduled; that is the
-// contract the batch determinism test and the CI smoke pin.
+// Determinism. A pipeline's report is a pure function of the task and
+// budget except for wall-clock timings, and tasks are independent, so every
+// other field of every report is identical for any `jobs` value. Results
+// come back in catalog order. Rendering the reports with
+// ReportJsonOptions::redact_timings therefore yields byte-identical files
+// no matter how the batch was scheduled; that is the contract the batch
+// determinism test and the CI smoke pin.
 //
 // Verdict store. With solve.cache_dir set, each pipeline consults the
 // content-addressed store (io/store.h) before running. Because engine node
@@ -40,8 +38,7 @@
 namespace trichroma {
 
 struct BatchOptions {
-  /// Per-task pipeline budget. The schedule is forced to kLadder (see the
-  /// determinism note above); everything else is honored as-is.
+  /// Per-task pipeline budget.
   SolvabilityOptions solve;
   /// Concurrent whole-task pipeline jobs. 0 = hardware concurrency.
   int jobs = 1;

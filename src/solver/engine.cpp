@@ -74,7 +74,7 @@ EngineReport AnalysisEngine::run(const EngineBudget& budget,
   const auto start = std::chrono::steady_clock::now();
   {
     TRI_SPAN("engine/", name());
-    execute(budget, token, report);
+    execute(budget, report);
   }
   report.wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -84,24 +84,15 @@ EngineReport AnalysisEngine::run(const EngineBudget& budget,
   if (report.status == EngineStatus::Conclusive) {
     obs::trace_instant("pipeline/conclusive/", name());
     obs::MetricsRegistry::global().counter("pipeline.engines_conclusive").add();
-  } else if (report.status == EngineStatus::Cancelled) {
-    obs::trace_instant("pipeline/cancelled/", name());
-    obs::MetricsRegistry::global().counter("pipeline.engines_cancelled").add();
   }
   return report;
 }
 
 void TwoProcessEngine::execute(const EngineBudget& budget,
-                               const CancellationToken& token,
                                EngineReport& report) {
-  const ConnectivityCsp csp =
-      connectivity_csp(task_, budget.node_cap, token.flag());
+  const ConnectivityCsp csp = connectivity_csp(task_, budget.node_cap);
   report.nodes_explored = csp.nodes_explored;
   report.detail = csp.detail;
-  if (csp.cancelled) {
-    report.status = EngineStatus::Cancelled;
-    return;
-  }
   if (csp.feasible) {
     report.status = EngineStatus::Conclusive;
     report.verdict = Verdict::Solvable;
@@ -120,16 +111,10 @@ void TwoProcessEngine::execute(const EngineBudget& budget,
 }
 
 void GenericConnectivityEngine::execute(const EngineBudget& budget,
-                                        const CancellationToken& token,
                                         EngineReport& report) {
-  const ConnectivityCsp csp =
-      connectivity_csp(task_, budget.node_cap, token.flag());
+  const ConnectivityCsp csp = connectivity_csp(task_, budget.node_cap);
   report.nodes_explored = csp.nodes_explored;
   report.detail = csp.detail;
-  if (csp.cancelled) {
-    report.status = EngineStatus::Cancelled;
-    return;
-  }
   if (!csp.feasible && csp.exhausted) {
     report.status = EngineStatus::Conclusive;
     report.verdict = Verdict::Unsolvable;
@@ -141,7 +126,6 @@ void GenericConnectivityEngine::execute(const EngineBudget& budget,
 }
 
 void CharacterizeEngine::execute(const EngineBudget& /*budget*/,
-                                 const CancellationToken& /*token*/,
                                  EngineReport& report) {
   result_ = std::make_shared<CharacterizationResult>(characterize(task_));
   report.status = EngineStatus::Completed;
@@ -149,7 +133,6 @@ void CharacterizeEngine::execute(const EngineBudget& /*budget*/,
 }
 
 void Corollary55Engine::execute(const EngineBudget& /*budget*/,
-                                const CancellationToken& /*token*/,
                                 EngineReport& report) {
   result_ = corollary_5_5(tstar_);
   report.detail = result_.detail;
@@ -163,7 +146,6 @@ void Corollary55Engine::execute(const EngineBudget& /*budget*/,
 }
 
 void Corollary56Engine::execute(const EngineBudget& /*budget*/,
-                                const CancellationToken& /*token*/,
                                 EngineReport& report) {
   result_ = corollary_5_6(tstar_);
   report.detail = result_.detail;
@@ -177,15 +159,10 @@ void Corollary56Engine::execute(const EngineBudget& /*budget*/,
 }
 
 void PostSplitCspEngine::execute(const EngineBudget& budget,
-                                 const CancellationToken& token,
                                  EngineReport& report) {
-  const ConnectivityCsp csp = connectivity_csp(tp_, budget.node_cap, token.flag());
+  const ConnectivityCsp csp = connectivity_csp(tp_, budget.node_cap);
   report.nodes_explored = csp.nodes_explored;
   report.detail = csp.detail;
-  if (csp.cancelled) {
-    report.status = EngineStatus::Cancelled;
-    return;
-  }
   if (!csp.feasible && csp.exhausted) {
     report.status = EngineStatus::Conclusive;
     report.verdict = Verdict::Unsolvable;
@@ -198,17 +175,11 @@ void PostSplitCspEngine::execute(const EngineBudget& budget,
   }
 }
 
-void HomologyEngine::execute(const EngineBudget& budget,
-                             const CancellationToken& token,
-                             EngineReport& report) {
+void HomologyEngine::execute(const EngineBudget& budget, EngineReport& report) {
   const HomologyObstruction hom =
-      homology_boundary_check(tp_, {2, 3}, budget.node_cap, token.flag());
+      homology_boundary_check(tp_, {2, 3}, budget.node_cap);
   report.nodes_explored = hom.nodes_explored;
   report.detail = hom.detail;
-  if (hom.cancelled) {
-    report.status = EngineStatus::Cancelled;
-    return;
-  }
   if (!hom.feasible && hom.exhausted) {
     report.status = EngineStatus::Conclusive;
     report.verdict = Verdict::Unsolvable;
@@ -276,18 +247,13 @@ int ProbeEngine::precedence() const {
   return engine_precedence::kColorlessProbe;
 }
 
-void ProbeEngine::execute(const EngineBudget& budget,
-                          const CancellationToken& token, EngineReport& report) {
+void ProbeEngine::execute(const EngineBudget& budget, EngineReport& report) {
   MapSearchOptions options;
   options.chromatic = (kind_ == ProbeKind::DirectChromatic);
   options.node_cap = budget.node_cap;
-  options.threads = budget.threads;
-  options.cancel = token.flag();
   DeltaImageCache images;
   if (budget.reuse_images) options.image_cache = &images;
-  const int build_threads = resolve_search_threads(budget.threads);
   SubdivisionLadder ladder(*task_.pool, task_.input);
-  ladder.set_threads(build_threads);
 
   // Warm start: materialize stored artifacts under this task's identity
   // before the first rung. The ladder loader re-interns subdivision
@@ -321,11 +287,11 @@ void ProbeEngine::execute(const EngineBudget& budget,
 
   // Eagerly compile every Δ-image the CSPs can ask for: the carriers of all
   // subdivision cells at every radius are exactly the base simplices, so
-  // this one pass (parallel for build_threads > 1) makes every later
-  // image_of call a pure lookup. Artifact preloads above are skipped, and
-  // warm accounting keeps hit/miss counters as-if-cold (map_search.h).
+  // this one pass makes every later image_of call a pure lookup. Artifact
+  // preloads above are skipped, and warm accounting keeps hit/miss
+  // counters as-if-cold (map_search.h).
   if (budget.reuse_images) {
-    images.populate(task_.delta, task_.input.all_simplices(), build_threads);
+    images.populate(task_.delta, task_.input.all_simplices());
   }
 
   report.status = EngineStatus::Inconclusive;
@@ -334,16 +300,12 @@ void ProbeEngine::execute(const EngineBudget& budget,
   // functions of task + budget; see EngineReport).
   std::array<std::uint64_t, obs::Histogram::kBuckets> domain_hist{};
   for (int r = 0; r <= budget.max_radius; ++r) {
-    if (token.stop_requested()) {
-      report.status = EngineStatus::Cancelled;
-      break;
-    }
     TRI_SPAN("probe/r=", static_cast<long long>(r));
     std::shared_ptr<const SubdividedComplex> domain =
         budget.reuse_subdivisions
             ? ladder.share(r)
-            : std::make_shared<const SubdividedComplex>(chromatic_subdivision(
-                  *task_.pool, task_.input, r, build_threads));
+            : std::make_shared<const SubdividedComplex>(
+                  chromatic_subdivision(*task_.pool, task_.input, r));
     computed_levels_.push_back(domain);
     const int top = domain->complex.dimension();
     report.level_facets.push_back(
@@ -364,10 +326,6 @@ void ProbeEngine::execute(const EngineBudget& budget,
       report.verdict = Verdict::Solvable;
       report.witness_radius = r;
       report.reason = found_reason(kind_, r);
-      break;
-    }
-    if (last_.cancelled) {
-      report.status = EngineStatus::Cancelled;
       break;
     }
     if (last_.domain_overflow) {

@@ -3,16 +3,17 @@
 //
 // Theorem 5.1's decision procedure is a portfolio of semi-decision engines —
 // sound impossibility checks (corner-assignment CSPs, the homological
-// boundary obstruction, the paper's Corollaries 5.5/5.6) racing bounded
+// boundary obstruction, the paper's Corollaries 5.5/5.6) and bounded
 // possibility searches (the decision-map probe ladders). Each step is an
-// AnalysisEngine: a uniform unit with a declared budget, a cooperative
-// cancellation token, and a typed EngineReport (timings, nodes explored,
-// cache hit counts, radius reached, conclusive/inconclusive). The racing
-// scheduler in solver/pipeline.h composes the units; nothing here schedules.
+// AnalysisEngine: a uniform unit with a declared budget, a cancellation
+// token checked once before it starts, and a typed EngineReport (timings,
+// nodes explored, cache hit counts, radius reached,
+// conclusive/inconclusive). The sequential ladder in solver/pipeline.h
+// composes the units; nothing here schedules.
 //
-// Soundness is what makes racing safe: an impossibility engine concluding
-// proves every possibility engine would stay inconclusive (and vice versa),
-// so cancelling the other side never changes the merged verdict.
+// Soundness is what lets the ladder stop early: an impossibility engine
+// concluding proves every possibility engine would stay inconclusive (and
+// vice versa), so skipping the other side never changes the merged verdict.
 
 #include <atomic>
 #include <cstddef>
@@ -34,8 +35,8 @@ enum class Verdict { Solvable, Unsolvable, Unknown };
 
 const char* to_string(Verdict v);
 
-// CancellationToken moved to runtime/cancellation.h (the executor hands one
-// to every JobGroup); engines keep using it through this header.
+// CancellationToken lives in runtime/cancellation.h (every executor job
+// group owns one); engines keep using it through this header.
 
 /// Which side of the semi-decision pair an engine argues. Exact engines
 /// (Proposition 5.4 for two processes) decide both directions; Support
@@ -54,7 +55,8 @@ const char* to_string(EngineStatus s);
 struct EngineBudget {
   int max_radius = 2;
   std::size_t node_cap = 20'000'000;
-  /// Worker threads for decision-map searches inside the engine.
+  /// Ignored: every engine runs on the calling thread. Declared only
+  /// because the end-to-end benchmark (perf/) still sets it.
   int threads = 1;
   bool reuse_subdivisions = true;
   bool reuse_images = true;
@@ -93,9 +95,8 @@ struct EngineReport {
   /// distribution summed over every rung climbed — counts per base-2 log
   /// bucket (obs::Histogram::bucket_index boundaries, trimmed after the
   /// last non-zero bucket) with the matching sample count and value sum.
-  /// Pure functions of task + budget, identical at every thread count, so
-  /// they ride in the deterministic report slice (schema v9) and the
-  /// verdict record (v3).
+  /// Pure functions of task + budget, so they ride in the deterministic
+  /// report slice (schema v9+) and the verdict record (v3).
   std::vector<std::uint64_t> domain_size_hist;
   std::uint64_t domain_size_count = 0;
   std::uint64_t domain_size_sum = 0;
@@ -124,8 +125,7 @@ class AnalysisEngine {
   EngineReport skipped() const;
 
  protected:
-  virtual void execute(const EngineBudget& budget, const CancellationToken& token,
-                       EngineReport& report) = 0;
+  virtual void execute(const EngineBudget& budget, EngineReport& report) = 0;
 };
 
 /// Fixed precedence numbers, mirroring the pre-refactor ladder order.
@@ -150,8 +150,7 @@ class TwoProcessEngine final : public AnalysisEngine {
   int precedence() const override { return engine_precedence::kTwoProcess; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& task_;
@@ -170,15 +169,14 @@ class GenericConnectivityEngine final : public AnalysisEngine {
   }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& task_;
 };
 
 /// Support: canonicalize + LAP-split (T → T* → T'). Interns into the task's
-/// pool, so the scheduler runs it on a lane-private clone_task copy.
+/// pool, so the pipeline runs it on a clone_task copy.
 class CharacterizeEngine final : public AnalysisEngine {
  public:
   explicit CharacterizeEngine(const Task& task) : task_(task) {}
@@ -190,8 +188,7 @@ class CharacterizeEngine final : public AnalysisEngine {
   std::shared_ptr<CharacterizationResult> result() const { return result_; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& task_;
@@ -209,8 +206,7 @@ class Corollary55Engine final : public AnalysisEngine {
   const CorollaryResult& result() const { return result_; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& tstar_;
@@ -228,8 +224,7 @@ class Corollary56Engine final : public AnalysisEngine {
   const CorollaryResult& result() const { return result_; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& tstar_;
@@ -245,8 +240,7 @@ class PostSplitCspEngine final : public AnalysisEngine {
   int precedence() const override { return engine_precedence::kPostSplitCsp; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& tp_;
@@ -261,8 +255,7 @@ class HomologyEngine final : public AnalysisEngine {
   int precedence() const override { return engine_precedence::kHomology; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& tp_;
@@ -283,8 +276,8 @@ enum class ProbeKind {
 /// The possibility side: climbs the radius ladder r = 0..max_radius running
 /// one decision-map search per rung, sharing one SubdivisionLadder and one
 /// DeltaImageCache across rungs (both optional via the budget's reuse
-/// flags). Interns subdivision vertices into the task's pool, so a lane
-/// must own that pool exclusively while the probe runs.
+/// flags). Interns subdivision vertices into the task's pool, so the
+/// caller must own that pool exclusively while the probe runs.
 /// Warm-start seed for a chromatic probe: serialized store artifacts from a
 /// stored twin of the task (io/store.h), plus the LIVE task's canonical
 /// labeling to translate them into its display identity. The engine
@@ -339,8 +332,7 @@ class ProbeEngine final : public AnalysisEngine {
   int seeded_images() const { return seeded_images_; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& task_;

@@ -2,19 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <memory_resource>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/executor.h"
 
 namespace trichroma {
 
@@ -54,25 +51,21 @@ obs::Counter& tri_miss_counter() {
 }
 // Candidate-pool sizes of compiled Δ-images, one record per charged miss
 // (cold compiles and first warm touches — the same accounting the hit/miss
-// counters use, so the distribution is seeding- and thread-independent).
+// counters use, so the distribution is seeding-independent).
 obs::Histogram& image_vertices_histogram() {
   static obs::Histogram& h =
       obs::MetricsRegistry::global().histogram("cache.delta.image_vertices");
   return h;
 }
-// Binary rows proven unable to prune, skipped before the row load. Only
-// flushed from the deterministic accounting sites (sequential runs, the
-// prefix expansion, and the canonical walk), never from racing phase-2
-// workers, so the rollup is identical at every thread count.
+// Binary rows proven unable to prune, skipped before the row load. Flushed
+// from the small-CSP run, the prefix expansion and the canonical walk.
 obs::Counter& fastpath_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "search.propagate.fastpath_skips");
   return c;
 }
-// Bytes reserved on search arenas at the deterministic construction sites
-// (CSP compilation, the sequential solver, expansion scratch solvers).
-// Phase-2 worker arenas are excluded: how many of those exist before the
-// race settles is timing-dependent.
+// Bytes reserved on search arenas at CSP compilation, the small-CSP solver
+// and the expansion scratch solvers.
 obs::Counter& arena_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "search.arena.bytes_reserved");
@@ -135,74 +128,13 @@ void DeltaImageCache::preload(const Simplex& carrier,
 }
 
 void DeltaImageCache::populate(const CarrierMap& delta,
-                               const std::vector<Simplex>& carriers,
-                               int threads) {
+                               const std::vector<Simplex>& carriers, int) {
   TRI_SPAN("ladder/populate");
-  std::vector<const Simplex*> todo;
-  todo.reserve(carriers.size());
   for (const Simplex& c : carriers) {
-    if (!c.empty() && cache_.count(c) == 0) todo.push_back(&c);
-  }
-  if (todo.empty()) return;
-
-  // Compile into per-carrier slots first; nothing touches cache_ until the
-  // deterministic merge below, so the map's content (and therefore every
-  // pointer handed out later) is independent of scheduling.
-  std::vector<std::shared_ptr<const CompiledComplex>> compiled(todo.size());
-  const auto compile_range = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      compiled[i] = CompiledComplex::compile(delta.image_complex(*todo[i]));
-    }
-  };
-  if (threads <= 1) {
-    compile_range(0, todo.size());
-  } else {
-    static obs::Counter& contention = obs::MetricsRegistry::global().counter(
-        "cache.delta.stripe_contention");
-    Executor& executor = Executor::global();
-    executor.ensure_workers(threads - 1);
-    const std::size_t stripes =
-        Executor::recommended_chunks(threads, todo.size());
-    // Equal-count contiguous stripes: Δ-images of one base complex are all
-    // small, so count balancing suffices (unlike the facet-weighted chunks
-    // of the subdivision build).
-    std::vector<std::size_t> bounds(stripes + 1);
-    for (std::size_t s = 0; s <= stripes; ++s) {
-      bounds[s] = todo.size() * s / stripes;
-    }
-    // Stripe claiming: each job scans circularly from its own offset and
-    // claims stripes with an atomic exchange. A failed exchange means
-    // another worker got there first — counted as stripe contention
-    // (pure telemetry; reports redact it with the other scheduling-
-    // dependent quantities).
-    std::vector<std::atomic<int>> claimed(stripes);
-    for (auto& flag : claimed) flag.store(0, std::memory_order_relaxed);
-    const std::size_t jobs =
-        std::min<std::size_t>(static_cast<std::size_t>(threads), stripes);
-    const auto run = [&](std::size_t job) {
-      const std::size_t start = stripes * job / jobs;
-      for (std::size_t k = 0; k < stripes; ++k) {
-        const std::size_t s = (start + k) % stripes;
-        if (claimed[s].exchange(1, std::memory_order_acq_rel) != 0) {
-          contention.add();
-          continue;
-        }
-        compile_range(bounds[s], bounds[s + 1]);
-      }
-    };
-    JobGroup group(executor);
-    for (std::size_t j = 1; j < jobs; ++j) {
-      group.submit([&run, j] { run(j); });
-    }
-    run(0);
-    group.wait();
-  }
-
-  // Deterministic merge in carrier order; warm marking keeps the hit/miss
-  // accounting as-if-cold (see image_of).
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    cache_.emplace(*todo[i], std::move(compiled[i]));
-    warm_.insert(*todo[i]);
+    if (c.empty() || cache_.count(c) != 0) continue;
+    // Warm marking keeps the hit/miss accounting as-if-cold (see image_of).
+    cache_.emplace(c, CompiledComplex::compile(delta.image_complex(c)));
+    warm_.insert(c);
   }
 }
 
@@ -369,17 +301,13 @@ namespace {
 // remaining values. The search is systematic, so a negative answer with
 // `exhausted = true` is a proof of non-existence at this radius.
 //
-// Parallel mode partitions the space by decision prefixes: the top levels
-// of the (MRV-ordered) search tree are expanded breadth-first into a FIXED
-// set of ~kSplitTargetJobs disjoint partial assignments in DFS order — the
-// decomposition never looks at the worker count. Workers (the shared
-// executor's pool) race the prefixes opportunistically under an advisory
-// global budget; a canonical accounting pass then replays the sequential
-// budget arithmetic over the DFS-ordered job list, re-running any job the
-// race aborted. The reported verdict, witness AND nodes_explored are
-// therefore bit-identical for every thread count: parallelism can only
-// change how fast phase 2 warms the cache of per-job outcomes, never what
-// the canonical walk concludes from them.
+// CSPs with kMinVariablesForSplit or more variables are searched by
+// decision prefixes: the top levels of the (MRV-ordered) search tree are
+// expanded breadth-first into a fixed set of ~kSplitTargetJobs disjoint
+// partial assignments, sorted into DFS order, and a canonical walk then
+// searches them one after another under one global node counter. This
+// canonical prefix accounting defines `nodes_explored` and the point where
+// the node cap stops a search (see canonical_walk).
 //
 // Determinism of the word-parallel propagation: every shrink is a monotone
 // intersection, so the fixed point reached by a propagate() call — and
@@ -640,48 +568,24 @@ Csp build_csp(const VertexPool& pool, const SubdividedComplex& domain,
 }
 
 constexpr std::size_t kNoBudget = static_cast<std::size_t>(-1);
-constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
-// Node charges are counted locally and reconciled against budgets only at
-// flush boundaries (every kNodeFlushBatch-th charge). Coarse flushing keeps
-// the shared counter off the hot path, and the canonical accounting below
-// is defined in terms of the same boundaries — which is what makes
-// nodes_explored and cap verdicts bit-identical at every worker count.
+// Node charges are reconciled against the budget only at flush boundaries
+// (every kNodeFlushBatch-th charge of the global counter); the canonical
+// walk's cap point is defined by these boundaries.
 constexpr std::size_t kNodeFlushBatch = 256;
-// The prefix decomposition is fixed, never scaled by the worker count: the
-// job list is a pure function of the CSP.
+// The prefix decomposition is fixed: the job list is a pure function of the
+// CSP.
 constexpr std::size_t kSplitTargetJobs = 64;
 constexpr std::size_t kMaxPrefixDepth = 6;
-
-// State shared by the phase-2 workers of one parallel search. Everything
-// here is *advisory*: it bounds the total work and lets losing workers
-// abort early, but the reported result is recomputed canonically in phase
-// 3, so none of these races can leak into the output.
-struct SharedSearch {
-  std::atomic<std::size_t> charged{0};    // flushed charges, all workers
-  std::atomic<bool> stop{false};          // budget gone or external cancel
-  std::atomic<std::size_t> best{kNoJob};  // lowest solved job index so far
-  // Caller-provided cancellation flag (MapSearchOptions::cancel), or null.
-  const std::atomic<bool>* external = nullptr;
-  std::atomic<bool> ext_cancelled{false};
-};
 
 struct Solver {
   const Csp& csp;
   bool dynamic_ordering = true;
 
-  // Budgets, all checked at flush boundaries. `local_budget` is the
-  // canonical per-run budget (phase-3 and sequential runs). `shared` —
-  // phase-2 workers only — adds the advisory global budget, the stop flag
-  // and the best-index race. `external` is the caller's cancel flag.
+  // The node budget, checked at flush boundaries.
   std::size_t local_budget = kNoBudget;
   std::size_t flush_batch = kNodeFlushBatch;
-  std::size_t global_cap = kNoBudget;
-  SharedSearch* shared = nullptr;
-  std::size_t job_index = kNoJob;
-  const std::atomic<bool>* external = nullptr;
 
-  bool aborted = false;   // unwound at a flush boundary
-  bool ext_seen = false;  // the abort was the external cancel
+  bool aborted = false;  // unwound at a flush boundary (budget gone)
   std::size_t total_nodes = 0;
   std::size_t unflushed = 0;
   std::size_t fastpath_skips = 0;  // binary rows elided by skip masks
@@ -851,63 +755,15 @@ struct Solver {
   }
 
   /// Counts a node; false when the search must unwind (budget gone at a
-  /// flush boundary, cancelled from outside, or the best-index race lost).
+  /// flush boundary).
   bool charge_node() {
     ++total_nodes;
     if (++unflushed < flush_batch) return true;
-    return flush();
-  }
-
-  bool flush() {
-    const std::size_t add = unflushed;
     unflushed = 0;
-    if (total_nodes > local_budget) {
-      obs::MetricsRegistry::global().counter("map_search.cap_hits").add();
-      aborted = true;
-      return false;
-    }
-    if (external != nullptr && external->load(std::memory_order_relaxed)) {
-      aborted = true;
-      ext_seen = true;
-      if (shared != nullptr) {
-        shared->ext_cancelled.store(true, std::memory_order_relaxed);
-        shared->stop.store(true, std::memory_order_relaxed);
-      }
-      return false;
-    }
-    if (shared != nullptr) {
-      const std::size_t now =
-          shared->charged.fetch_add(add, std::memory_order_relaxed) + add;
-      if (obs::trace_enabled()) {
-        // Global-counter flush boundary: the advisory budget's view of the
-        // whole race, sampled from whichever worker flushed.
-        obs::trace_counter("map_search/charged", static_cast<double>(now));
-      }
-      if (now > global_cap) {
-        obs::MetricsRegistry::global().counter("map_search.cap_hits").add();
-        shared->stop.store(true, std::memory_order_relaxed);
-        aborted = true;
-        return false;
-      }
-      if (shared->stop.load(std::memory_order_relaxed)) {
-        aborted = true;
-        return false;
-      }
-      if (shared->best.load(std::memory_order_relaxed) < job_index) {
-        aborted = true;
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Final flush of leftover charges into the shared counter (keeps the
-  /// advisory budget honest); never aborts a finished run.
-  void settle() {
-    if (shared != nullptr && unflushed > 0) {
-      shared->charged.fetch_add(unflushed, std::memory_order_relaxed);
-    }
-    unflushed = 0;
+    if (total_nodes <= local_budget) return true;
+    obs::MetricsRegistry::global().counter("map_search.cap_hits").add();
+    aborted = true;
+    return false;
   }
 
   /// Applies a decision prefix without charging (the expansion already paid
@@ -951,8 +807,7 @@ struct Solver {
       const bool ok = assign(best, j) && search();
       if (ok) return true;
       if (aborted) {
-        // Budget exceeded or race lost somewhere below: unwind without
-        // exploring more.
+        // Budget exceeded somewhere below: unwind without exploring more.
         assigned[best] = -1;
         unassigned[best >> 6] |= Mask{1} << (best & 63);
         return false;
@@ -963,16 +818,9 @@ struct Solver {
   }
 };
 
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-// Splitting a search that dies within a few hundred nodes only pays
-// expansion overhead; tiny CSPs (low radii, solo/edge-only inputs) run the
-// plain backtracker at every thread count. Verdicts are unaffected — both
-// engines are complete.
+// Tiny CSPs (low radii, solo/edge-only inputs) run the plain backtracker
+// without a prefix expansion. Verdicts are unaffected — both paths are
+// complete.
 constexpr std::size_t kMinVariablesForSplit = 10;
 
 void emit_map(const Csp& csp, const std::int32_t* assigned,
@@ -992,30 +840,19 @@ void run_small(const Csp& csp, const MapSearchOptions& options,
   Solver solver(csp, options.dynamic_ordering);
   solver.flush_batch = 1;
   solver.local_budget = options.node_cap;
-  solver.external = options.cancel;
   const bool found = solver.search();
   fastpath_counter().add(solver.fastpath_skips);
   result.nodes_explored = solver.total_nodes;
-  result.cancelled = solver.ext_seen;
   result.exhausted = !solver.aborted;
   if (found) emit_map(csp, solver.assigned, result);
 }
 
-/// One disjoint chunk of the search space — the decision prefix reaching
-/// one node at the top of the MRV tree — plus its phase-2 outcome. The
-/// prefix borrows from Expansion::pool (stable for the expansion's life).
+/// One disjoint chunk of the search space: the decision prefix reaching one
+/// node at the top of the MRV tree. The prefix borrows from Expansion::pool
+/// (stable for the expansion's life).
 struct PrefixJob {
   const std::pair<std::uint32_t, std::int32_t>* prefix = nullptr;
   std::size_t prefix_len = 0;
-
-  enum class State { NotRun, Done, Aborted };
-  State state = State::NotRun;
-  bool solved = false;
-  std::size_t nodes = 0;  // full subtree charge count (Done only)
-  // Subtree fastpath skips (Done only) — schedule-independent like `nodes`,
-  // so the canonical walk can roll it up without re-running.
-  std::size_t fastpath_skips = 0;
-  std::vector<std::int32_t> assignment;  // complete assignment when solved
 };
 
 struct Expansion {
@@ -1025,16 +862,14 @@ struct Expansion {
   std::vector<PrefixJob> jobs;  // DFS (lexicographic value-index) order
   std::size_t nodes = 0;        // charges paid enumerating the prefixes
   bool capped = false;
-  bool cancelled = false;
 };
 
-// Phase 1 — fixed decomposition: expand the top of the MRV tree
-// breadth-first into ~kSplitTargetJobs disjoint prefixes, then sort them
-// into DFS order. Sibling values are enumerated ascending and the variable
-// at each level is a function of the prefix, so comparing value indices
-// lexicographically reproduces the depth-first visit order. Expansion is
-// where prefix enumeration is charged — jobs replay their prefix for free,
-// so a prefix is paid for exactly once no matter how many workers touch it.
+// Fixed decomposition: expand the top of the MRV tree breadth-first into
+// ~kSplitTargetJobs disjoint prefixes, then sort them into DFS order.
+// Sibling values are enumerated ascending and the variable at each level is
+// a function of the prefix, so comparing value indices lexicographically
+// reproduces the depth-first visit order. Expansion is where prefix
+// enumeration is charged — the walk replays each prefix for free.
 Expansion expand_prefixes(const Csp& csp, const MapSearchOptions& options) {
   TRI_SPAN("map_search/expand_prefixes");
   Expansion out;
@@ -1060,16 +895,13 @@ Expansion expand_prefixes(const Csp& csp, const MapSearchOptions& options) {
     scratch.flush_batch = 1;  // exact budget checks while splitting
     scratch.local_budget =
         options.node_cap > out.nodes ? options.node_cap - out.nodes : 0;
-    scratch.external = options.cancel;
     bool dead = false;
     for (std::uint32_t i = 0; i < p.len; ++i) {
       const auto [var, j] = pool[p.off + i];
       if (!scratch.charge_node()) {
-        // Budget exhausted (or cancellation) during splitting — report like
-        // the sequential engine would: inconclusive, nothing found.
+        // Budget exhausted during splitting: inconclusive, nothing found.
         out.nodes += scratch.total_nodes;
-        out.cancelled = scratch.ext_seen;
-        out.capped = !scratch.ext_seen;
+        out.capped = true;
         fastpath_counter().add(skips + scratch.fastpath_skips);
         return out;
       }
@@ -1113,192 +945,58 @@ Expansion expand_prefixes(const Csp& csp, const MapSearchOptions& options) {
               return a.len < b.len;
             });
   out.jobs.reserve(leaves.size());
-  for (const Span& p : leaves) {
-    PrefixJob job;
-    job.prefix = pool.data() + p.off;
-    job.prefix_len = p.len;
-    out.jobs.push_back(std::move(job));
-  }
+  for (const Span& p : leaves) out.jobs.push_back({pool.data() + p.off, p.len});
   return out;
 }
 
-// Phase 2 — opportunistic parallel pass: one executor job per prefix,
-// submitted to the shared work-stealing pool (the caller helps via
-// JobGroup::wait, so `threads` includes this thread). Workers race under
-// the advisory global budget; a completed job records its exact —
-// schedule-independent — subtree charge count, an aborted one is re-run
-// canonically in phase 3. Each job writes only its own PrefixJob slot, and
-// group completion publishes them to the walk.
-void run_phase2(const Csp& csp, const MapSearchOptions& options, int threads,
-                std::vector<PrefixJob>& jobs, SharedSearch& shared) {
-  Executor& executor = Executor::global();
-  executor.ensure_workers(threads - 1);
-  JobGroup group(executor);
-  static obs::Counter& prefix_jobs =
-      obs::MetricsRegistry::global().counter("map_search.prefix_jobs");
-  prefix_jobs.add(jobs.size());
-  for (std::size_t index = 0; index < jobs.size(); ++index) {
-    group.submit([&csp, &options, &jobs, &shared, index] {
-      TRI_SPAN("map_search/prefix");
-      PrefixJob& job = jobs[index];
-      if (shared.stop.load(std::memory_order_relaxed) ||
-          shared.best.load(std::memory_order_relaxed) < index) {
-        job.state = PrefixJob::State::Aborted;
-        return;
-      }
-      Solver solver(csp, options.dynamic_ordering);
-      solver.shared = &shared;
-      solver.global_cap = options.node_cap;
-      solver.job_index = index;
-      solver.external = options.cancel;
-      if (!solver.replay(job.prefix, job.prefix_len)) {
-        job.fastpath_skips = solver.fastpath_skips;
-        job.state = PrefixJob::State::Done;  // empty subtree, zero charges
-        return;
-      }
-      const bool solved = solver.search();
-      solver.settle();
-      if (!solved && solver.aborted) {
-        job.state = PrefixJob::State::Aborted;
-        return;
-      }
-      job.nodes = solver.total_nodes;
-      job.solved = solved;
-      job.fastpath_skips = solver.fastpath_skips;
-      // Search-effort distribution: how unevenly the DFS prefixes split the
-      // tree. Observability only (aborted jobs re-run in phase 3 are not
-      // re-recorded); one record per completed job.
-      static obs::Histogram& prefix_nodes =
-          obs::MetricsRegistry::global().histogram("search.nodes_per_prefix");
-      prefix_nodes.record(job.nodes);
-      if (solved) {
-        job.assignment.assign(solver.assigned, solver.assigned + csp.n);
-        std::size_t current = shared.best.load(std::memory_order_relaxed);
-        while (index < current &&
-               !shared.best.compare_exchange_weak(current, index,
-                                                  std::memory_order_relaxed)) {
-        }
-      }
-      job.state = PrefixJob::State::Done;
-      return;
-    });
-  }
-  group.wait();
-}
-
-// Phase 3 — canonical accounting: walk the jobs in DFS order simulating
-// ONE sequential run whose node counter carries across jobs — the budget is
-// reconciled at *global* flush boundaries (node counts 256, 512, ...), so a
-// cap is detected within kNodeFlushBatch charges no matter how the counter
-// is sliced into subtrees. A Done job replays in closed form (its charge
-// count is schedule-independent, so the boundaries it crosses are
-// computable without re-searching); anything else re-runs inline seeded
-// with the global counter and phase, which aborts at exactly the same
-// boundaries. Every thread count therefore reports the same winner,
-// witness, nodes_explored and cap verdict. The fastpath counter follows the
-// same discipline: a consumed Done job contributes its recorded subtree
-// skips, an inline re-run contributes what it just counted, and a capped
-// job contributes nothing on either path.
+// Canonical accounting: search the jobs in DFS order as ONE sequential run
+// whose node counter carries across jobs. Each job's solver starts from the
+// global counter and its flush phase, so the budget is reconciled at
+// *global* flush boundaries (node counts 256, 512, ...) and a cap is
+// detected within kNodeFlushBatch charges however the counter is sliced
+// into subtrees. A job whose prefix wipes out by propagation is an empty
+// subtree and charges nothing.
 void canonical_walk(const Csp& csp, const MapSearchOptions& options,
-                    std::vector<PrefixJob>& jobs, std::size_t base,
-                    MapSearchResult& result) {
-  const std::size_t cap = options.node_cap;
-  for (PrefixJob& job : jobs) {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      result.cancelled = true;
+                    const Expansion& expansion, MapSearchResult& result) {
+  std::size_t base = expansion.nodes;
+  for (const PrefixJob& job : expansion.jobs) {
+    Solver solver(csp, options.dynamic_ordering);
+    solver.local_budget = options.node_cap;
+    solver.total_nodes = base;                  // global counter, carried over
+    solver.unflushed = base % kNodeFlushBatch;  // global flush phase
+    if (!solver.replay(job.prefix, job.prefix_len)) {
+      fastpath_counter().add(solver.fastpath_skips);
+      continue;
+    }
+    const bool solved = solver.search();
+    if (!solved && solver.aborted) {
       result.exhausted = false;
-      result.nodes_explored = base;
+      result.nodes_explored = solver.total_nodes;
       return;
     }
-    if (job.state == PrefixJob::State::Done) {
-      // First global boundary inside this job's charge span (base, base+n].
-      std::size_t boundary =
-          (base / kNodeFlushBatch + 1) * kNodeFlushBatch;
-      bool capped = false;
-      while (boundary <= base + job.nodes) {
-        if (boundary > cap) {
-          capped = true;
-          break;
-        }
-        boundary += kNodeFlushBatch;
-      }
-      if (capped) {
-        obs::MetricsRegistry::global().counter("map_search.cap_hits").add();
-        result.exhausted = false;
-        result.nodes_explored = boundary;
-        return;
-      }
-      base += job.nodes;
-      fastpath_counter().add(job.fastpath_skips);
-      if (job.solved) {
-        result.nodes_explored = base;
-        emit_map(csp, job.assignment.data(), result);
-        return;
-      }
-    } else {
-      Solver solver(csp, options.dynamic_ordering);
-      solver.local_budget = cap;
-      solver.external = options.cancel;
-      solver.total_nodes = base;           // global counter, carried over
-      solver.unflushed = base % kNodeFlushBatch;  // global flush phase
-      if (!solver.replay(job.prefix, job.prefix_len)) {
-        fastpath_counter().add(solver.fastpath_skips);
-        continue;
-      }
-      const bool solved = solver.search();
-      if (!solved && solver.aborted) {
-        result.exhausted = false;
-        result.cancelled = solver.ext_seen;
-        result.nodes_explored = solver.total_nodes;
-        return;
-      }
-      base = solver.total_nodes;
-      fastpath_counter().add(solver.fastpath_skips);
-      if (solved) {
-        result.nodes_explored = base;
-        emit_map(csp, solver.assigned, result);
-        return;
-      }
+    base = solver.total_nodes;
+    fastpath_counter().add(solver.fastpath_skips);
+    if (solved) {
+      result.nodes_explored = base;
+      emit_map(csp, solver.assigned, result);
+      return;
     }
   }
   result.nodes_explored = base;  // every subtree exhausted
 }
 
-void run_split(const Csp& csp, const MapSearchOptions& options, int threads,
+void run_split(const Csp& csp, const MapSearchOptions& options,
                MapSearchResult& result) {
-  Expansion expansion = expand_prefixes(csp, options);
-  if (expansion.capped || expansion.cancelled) {
-    result.cancelled = expansion.cancelled;
+  const Expansion expansion = expand_prefixes(csp, options);
+  if (expansion.capped) {
     result.exhausted = false;
     result.nodes_explored = expansion.nodes;
     return;
   }
-  if (threads > 1 && !expansion.jobs.empty()) {
-    SharedSearch shared;
-    shared.external = options.cancel;
-    run_phase2(csp, options, threads, expansion.jobs, shared);
-    if (shared.ext_cancelled.load(std::memory_order_relaxed)) {
-      // Cancellation is inherently timing-dependent; report a found map if
-      // some job already solved, else a plain cancelled result.
-      const std::size_t best = shared.best.load(std::memory_order_relaxed);
-      result.nodes_explored =
-          expansion.nodes + shared.charged.load(std::memory_order_relaxed);
-      if (best != kNoJob) {
-        emit_map(csp, expansion.jobs[best].assignment.data(), result);
-      } else {
-        result.cancelled = true;
-        result.exhausted = false;
-      }
-      return;
-    }
-  }
-  canonical_walk(csp, options, expansion.jobs, expansion.nodes, result);
+  canonical_walk(csp, options, expansion, result);
 }
 
 }  // namespace
-
-int resolve_search_threads(int requested) { return resolve_threads(requested); }
 
 MapSearchResult find_decision_map(const VertexPool& pool,
                                   const SubdividedComplex& domain, const Task& task,
@@ -1308,13 +1006,6 @@ MapSearchResult find_decision_map(const VertexPool& pool,
       obs::MetricsRegistry::global().counter("map_search.searches");
   searches.add();
   MapSearchResult result;
-  if (options.cancel != nullptr &&
-      options.cancel->load(std::memory_order_relaxed)) {
-    // Cancelled before the CSP is even compiled.
-    result.cancelled = true;
-    result.exhausted = false;
-    return result;
-  }
   DeltaImageCache local_images;
   DeltaImageCache& images =
       options.image_cache != nullptr ? *options.image_cache : local_images;
@@ -1350,7 +1041,7 @@ MapSearchResult find_decision_map(const VertexPool& pool,
   if (csp.n < kMinVariablesForSplit) {
     run_small(csp, options, result);
   } else {
-    run_split(csp, options, resolve_threads(options.threads), result);
+    run_split(csp, options, result);
   }
   return result;
 }

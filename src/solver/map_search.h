@@ -18,7 +18,6 @@
 // vertices of the wrong color.
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -61,30 +60,26 @@ namespace trichroma {
 /// All mask/table rows are stored on one internal monotonic arena, so CSP
 /// compilation only touches the allocator on a class miss.
 ///
-/// Not thread-safe as a handle: callers must serialize access (the CSP is
-/// compiled single-threaded). `populate` is the one internally parallel
-/// entry point — it fans image compilation out over executor stripes while
-/// it runs, but the caller still must not touch the cache concurrently.
+/// Not thread-safe: one search (one task) owns a cache at a time.
 class DeltaImageCache {
  public:
   using Mask = std::uint64_t;
 
   const CompiledComplex* image_of(const CarrierMap& delta, const Simplex& carrier);
 
-  /// Eagerly compiles Δ(carrier) for every carrier in `carriers` not
-  /// already cached (artifact preloads and prior entries are never
-  /// clobbered), so searches start hot instead of faulting images in
-  /// serially. With `threads >= 2` the compilation fans out over
-  /// stripe-sharded executor jobs — each stripe compiles a contiguous
-  /// claim-protected range into its own slots — and the results are merged
-  /// in deterministic carrier order. Every populated entry is marked warm
-  /// exactly like `preload`: its first `image_of` touch is charged as the
-  /// miss a lazy cold run would have paid, and entries never touched never
-  /// count, so hit/miss counters are byte-identical to the lazy path at
-  /// every thread count. The engines pass the base complex's canonical
-  /// simplex list — the carriers of every subdivision cell at every radius.
+  /// Eagerly compiles Δ(carrier), in carrier order, for every carrier in
+  /// `carriers` not already cached (artifact preloads and prior entries are
+  /// never clobbered), so searches start hot instead of faulting images in
+  /// one by one. Every populated entry is marked warm exactly like
+  /// `preload`: its first `image_of` touch is charged as the miss a lazy
+  /// cold run would have paid, and entries never touched never count, so
+  /// hit/miss counters are byte-identical to the lazy path. The engines
+  /// pass the base complex's canonical simplex list — the carriers of every
+  /// subdivision cell at every radius. The third parameter is ignored; it
+  /// stays declared only because the end-to-end benchmark (perf/) passes
+  /// it.
   void populate(const CarrierMap& delta, const std::vector<Simplex>& carriers,
-                int threads = 1);
+                int /*threads*/ = 1);
 
   /// Inserts a pre-compiled image for `carrier` built from its facet list
   /// (a stored `delta.images` artifact row, io/store.h). The entry is
@@ -199,56 +194,37 @@ struct MapSearchOptions {
   /// back to static order — kept as an ablation knob (see bench_ablation);
   /// both orders are complete, MRV is typically orders of magnitude faster.
   bool dynamic_ordering = true;
-  /// Worker threads for the search. 1 = the sequential backtracker;
-  /// 0 = hardware concurrency; N > 1 = work-splitting parallel search: a
-  /// fixed DFS-ordered set of decision prefixes is dispatched as jobs on
-  /// the shared work-stealing executor (runtime/executor.h), then a
-  /// canonical sequential walk re-derives the single-threaded answer from
-  /// the per-prefix outcomes. Determinism contract: for identical inputs
-  /// EVERY thread count returns bit-identical results — the same
-  /// found/exhausted verdict, the same witness map (the DFS-first one),
-  /// and the same nodes_explored, including cap-truncated searches (the
-  /// cap is charged against one global node counter with fixed flush
-  /// boundaries, so the truncation point cannot drift with the worker
-  /// count). Extra threads change wall-clock time only.
+  /// Ignored: every search runs on the calling thread. Declared only
+  /// because the end-to-end benchmark (perf/) still sets it.
   int threads = 1;
   /// Optional cross-call Δ-image cache (see DeltaImageCache). Borrowed, may
   /// be null (a per-call cache is used); must be dedicated to `task.delta`.
   DeltaImageCache* image_cache = nullptr;
-  /// Optional cooperative cancellation flag, polled at every search node by
-  /// every worker. When it becomes true the search unwinds promptly and the
-  /// result reports `cancelled = true` (and exhausted = false) unless a map
-  /// was already found. Borrowed; must outlive the call.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 struct MapSearchResult {
   bool found = false;
   bool exhausted = true;  ///< meaningful when !found: whole space explored
-  bool cancelled = false;  ///< stopped by MapSearchOptions::cancel
   /// Some subdivision vertex had more than 64 candidate values — the
   /// word-parallel domains cannot represent the instance, so nothing was
   /// searched. Always reported with exhausted = false: this is a
   /// representation limit, never evidence of unsolvability.
   bool domain_overflow = false;
   VertexMap map;           ///< the decision map, when found
-  /// Backtracking nodes visited, aggregated across all workers.
+  /// Backtracking nodes visited (canonical prefix accounting, see
+  /// map_search.cpp).
   std::size_t nodes_explored = 0;
   /// Deterministic distribution of the CSP's per-variable candidate-list
   /// sizes: counts per base-2 log bucket (obs::Histogram::bucket_index
   /// boundaries — bucket i holds sizes <= 2^i), trimmed after the last
   /// non-zero bucket, plus the matching sample count and size sum. A pure
-  /// function of the instance, identical at every thread count, so engines
-  /// fold it into the deterministic report fields. Empty when the build
-  /// stopped before gathering domains (cancelled / empty complex).
+  /// function of the instance, so engines fold it into the deterministic
+  /// report fields. Empty when the build stopped before gathering domains
+  /// (empty complex).
   std::vector<std::uint64_t> domain_size_hist;
   std::uint64_t domain_size_count = 0;
   std::uint64_t domain_size_sum = 0;
 };
-
-/// Resolves a `threads` request the way every search engine does:
-/// 0 = hardware concurrency (at least 1), N > 0 = N.
-int resolve_search_threads(int requested);
 
 /// Searches for a simplicial map from `domain.complex` to `task.output`
 /// carried by `task.delta` (carriers interpreted in `task.input`).

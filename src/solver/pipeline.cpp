@@ -7,7 +7,6 @@
 #include "io/store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/executor.h"
 #include "tasks/fingerprint.h"
 
 namespace trichroma {
@@ -24,7 +23,6 @@ EngineBudget budget_from(const SolvabilityOptions& options) {
   EngineBudget budget;
   budget.max_radius = options.max_radius;
   budget.node_cap = options.node_cap;
-  budget.threads = options.threads;
   budget.reuse_subdivisions = options.reuse_subdivisions;
   budget.reuse_images = options.reuse_images;
   return budget;
@@ -44,11 +42,11 @@ std::size_t facet_count(const SimplicialComplex& k) {
   return top < 0 ? 0 : k.count(top);
 }
 
-// Everything the impossibility lane produces. The lane owns a clone of the
-// task (pools are unsynchronized, and characterize/subdivision intern), so
-// its engines' vertex ids are only meaningful against the clone's pool —
-// which `characterization` keeps alive.
-struct ImpossibilityLane {
+// Everything the impossibility chain produces. The chain runs on a clone of
+// the task (characterize and the subdivisions intern into the pool), so its
+// engines' vertex ids are only meaningful against the clone's pool — which
+// `characterization` keeps alive.
+struct ImpossibilityChain {
   EngineReport characterize =
       make_skipped("characterize", EngineSide::Support, 1);
   EngineReport cor55 = make_skipped("corollary-5.5", EngineSide::Impossibility,
@@ -75,16 +73,14 @@ struct ImpossibilityLane {
   bool concluded_impossible = false;
 };
 
-/// The n > 3 impossibility lane: just the generic pre-split CSP.
-void run_generic_chain(const Task& lane_task, const EngineBudget& budget,
-                       const CancellationToken& self, CancellationToken& other,
-                       ImpossibilityLane& lane) {
-  GenericConnectivityEngine engine(lane_task);
-  lane.generic = engine.run(budget, self);
-  if (lane.generic.status == EngineStatus::Conclusive) {
-    lane.concluded_impossible = true;
-    other.request_stop();
-  }
+/// The n > 3 impossibility chain: just the generic pre-split CSP.
+void run_generic_chain(const Task& chain_task, const EngineBudget& budget,
+                       const CancellationToken& token,
+                       ImpossibilityChain& chain) {
+  GenericConnectivityEngine engine(chain_task);
+  chain.generic = engine.run(budget, token);
+  chain.concluded_impossible =
+      chain.generic.status == EngineStatus::Conclusive;
 }
 
 /// The three-process impossibility chain: characterize, then the obstruction
@@ -92,65 +88,52 @@ void run_generic_chain(const Task& lane_task, const EngineBudget& budget,
 /// the result payload either way) but rank *after* them in precedence,
 /// mirroring the pre-refactor ladder's check order; the homology engine is
 /// skipped once the CSP already concluded, as the ladder returned early.
-void run_impossibility_chain(const Task& lane_task, const EngineBudget& budget,
-                             const CancellationToken& self,
-                             CancellationToken& other, ImpossibilityLane& lane) {
-  CharacterizeEngine characterize(lane_task);
-  lane.characterize = characterize.run(budget, self);
-  if (lane.characterize.status != EngineStatus::Completed) return;
-  lane.characterization = characterize.result();
-  const Task& tstar = lane.characterization->canonical;
-  const Task& tp = lane.characterization->link_connected;
+void run_impossibility_chain(const Task& chain_task,
+                             const EngineBudget& budget,
+                             const CancellationToken& token,
+                             ImpossibilityChain& chain) {
+  CharacterizeEngine characterize(chain_task);
+  chain.characterize = characterize.run(budget, token);
+  if (chain.characterize.status != EngineStatus::Completed) return;
+  chain.characterization = characterize.result();
+  const Task& tstar = chain.characterization->canonical;
+  const Task& tp = chain.characterization->link_connected;
 
   Corollary55Engine cor55(tstar);
-  lane.cor55 = cor55.run(budget, self);
-  lane.cor55_result = cor55.result();
-  if (lane.cor55.status == EngineStatus::Conclusive) {
-    lane.concluded_impossible = true;
-    other.request_stop();
-  }
+  chain.cor55 = cor55.run(budget, token);
+  chain.cor55_result = cor55.result();
 
   Corollary56Engine cor56(tstar);
-  lane.cor56 = cor56.run(budget, self);
-  lane.cor56_result = cor56.result();
-  if (lane.cor56.status == EngineStatus::Conclusive) {
-    lane.concluded_impossible = true;
-    other.request_stop();
-  }
+  chain.cor56 = cor56.run(budget, token);
+  chain.cor56_result = cor56.result();
 
   PostSplitCspEngine csp(tp);
-  lane.csp = csp.run(budget, self);
-  if (lane.csp.status == EngineStatus::Conclusive) {
-    lane.concluded_impossible = true;
-    other.request_stop();
-    lane.homology = HomologyEngine(tp).skipped();
+  chain.csp = csp.run(budget, token);
+  if (chain.csp.status == EngineStatus::Conclusive) {
+    chain.concluded_impossible = true;
+    chain.homology = HomologyEngine(tp).skipped();
     return;
   }
 
   HomologyEngine homology(tp);
-  lane.homology = homology.run(budget, self);
-  if (lane.homology.status == EngineStatus::Conclusive) {
-    lane.concluded_impossible = true;
-    other.request_stop();
-  }
+  chain.homology = homology.run(budget, token);
+  chain.concluded_impossible =
+      chain.cor55.status == EngineStatus::Conclusive ||
+      chain.cor56.status == EngineStatus::Conclusive ||
+      chain.homology.status == EngineStatus::Conclusive;
 }
 
 /// The color-agnostic probe on T' — the characterization's possibility
-/// engine. Runs on the impossibility lane's thread (and clone), overlapping
-/// the chromatic probe in racing mode. Its conclusion cancels nothing: the
-/// chromatic probe ranks higher and must finish to keep the merge
-/// deterministic.
-void run_agnostic_probe(const EngineBudget& budget, const CancellationToken& self,
-                        ImpossibilityLane& lane) {
-  if (lane.characterization == nullptr || lane.concluded_impossible ||
-      self.stop_requested()) {
-    return;
-  }
-  ProbeEngine probe(lane.characterization->link_connected,
+/// engine, run after an inconclusive chromatic probe.
+void run_agnostic_probe(const EngineBudget& budget,
+                        const CancellationToken& token,
+                        ImpossibilityChain& chain) {
+  if (chain.characterization == nullptr) return;
+  ProbeEngine probe(chain.characterization->link_connected,
                     ProbeKind::LinkConnectedAgnostic);
-  lane.agnostic = probe.run(budget, self);
-  if (lane.agnostic.status == EngineStatus::Conclusive) {
-    lane.agnostic_radius = probe.found_radius();
+  chain.agnostic = probe.run(budget, token);
+  if (chain.agnostic.status == EngineStatus::Conclusive) {
+    chain.agnostic_radius = probe.found_radius();
   }
 }
 
@@ -211,16 +194,6 @@ void merge_unknown_reason(const SolvabilityOptions& options,
 PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options) {
   TRI_SPAN("pipeline/run");
   obs::MetricsRegistry::global().counter("pipeline.runs").add();
-  const ExecutorStats exec_before = Executor::global().stats();
-  const auto ladder_counters = [] {
-    PipelineReport::LadderBuildStats s;
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    s.parallel_chunks = reg.counter("ladder.parallel_chunks").value();
-    s.merge_ns = reg.counter("ladder.merge_ns").value();
-    s.stripe_contention = reg.counter("cache.delta.stripe_contention").value();
-    return s;
-  };
-  const PipelineReport::LadderBuildStats ladder_before = ladder_counters();
   const Clock::time_point start = Clock::now();
   PipelineResult out;
   PipelineReport& report = out.report;
@@ -242,20 +215,14 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
   report.input_facets = facet_count(task.input);
   report.output_facets = facet_count(task.output);
   report.options = options;
-  const int threads_resolved = resolve_search_threads(options.threads);
   const EngineBudget budget = budget_from(options);
 
-  // Resolve the lane schedule up front: it is part of the verdict-store key
-  // ("ladder" and "racing" reports differ in engine statuses by contract,
-  // so they must never alias one cache entry).
+  // The schedule is part of the verdict-store key: "exact" and "ladder"
+  // reports list different engines, so they must never alias one entry.
   const bool characterize_route =
       options.use_characterization && task.num_processes == 3;
   const bool generic_route = task.num_processes > 3;
-  const bool race = task.num_processes != 2 && threads_resolved >= 2 &&
-                    options.schedule == PipelineSchedule::kAuto &&
-                    (characterize_route || generic_route);
-  const std::string schedule_str =
-      task.num_processes == 2 ? "exact" : (race ? "racing" : "ladder");
+  const std::string schedule_str = task.num_processes == 2 ? "exact" : "ladder";
 
   // Verdict-store consult. Fingerprinting failure (or any store anomaly)
   // degrades to cache-off — the cache is an accelerator, never a gate.
@@ -302,61 +269,57 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
       // max_radius, an Unsolvable verdict means the probe ladder was
       // skipped, and a chromatic-probe Solvable at radius k replays the
       // exact rungs 0..k any budget with max_radius >= k would climb.
-      // Racing-schedule records are excluded — their engine statuses are
-      // timing-dependent, so "identical to cold" is not even well-defined.
-      if (schedule_str != "racing") {
-        for (const io::SiblingVerdict& sibling : store->scan_siblings(fp)) {
-          if (sibling.opt_digest == opt_digest) continue;
-          if (sibling.report.schedule != schedule_str) continue;
-          const io::VerdictRecordBudget& b = sibling.budget;
-          if (b.max_radius == record_budget.max_radius ||
-              b.node_cap != record_budget.node_cap ||
-              b.use_characterization != record_budget.use_characterization ||
-              b.reuse_subdivisions != record_budget.reuse_subdivisions ||
-              b.reuse_images != record_budget.reuse_images) {
-            continue;
-          }
-          bool replay_safe = schedule_str == "exact" ||
-                             sibling.report.verdict == Verdict::Unsolvable;
-          if (!replay_safe && sibling.report.verdict == Verdict::Solvable) {
-            for (const EngineReport& e : sibling.report.engines) {
-              if (e.precedence == engine_precedence::kChromaticProbe &&
-                  e.status == EngineStatus::Conclusive &&
-                  e.witness_radius >= 0 &&
-                  e.witness_radius <= options.max_radius) {
-                replay_safe = true;
-                break;
-              }
+      for (const io::SiblingVerdict& sibling : store->scan_siblings(fp)) {
+        if (sibling.opt_digest == opt_digest) continue;
+        if (sibling.report.schedule != schedule_str) continue;
+        const io::VerdictRecordBudget& b = sibling.budget;
+        if (b.max_radius == record_budget.max_radius ||
+            b.node_cap != record_budget.node_cap ||
+            b.use_characterization != record_budget.use_characterization ||
+            b.reuse_subdivisions != record_budget.reuse_subdivisions ||
+            b.reuse_images != record_budget.reuse_images) {
+          continue;
+        }
+        bool replay_safe = schedule_str == "exact" ||
+                           sibling.report.verdict == Verdict::Unsolvable;
+        if (!replay_safe && sibling.report.verdict == Verdict::Solvable) {
+          for (const EngineReport& e : sibling.report.engines) {
+            if (e.precedence == engine_precedence::kChromaticProbe &&
+                e.status == EngineStatus::Conclusive &&
+                e.witness_radius >= 0 &&
+                e.witness_radius <= options.max_radius) {
+              replay_safe = true;
+              break;
             }
           }
-          if (!replay_safe) continue;
-          report.schedule = sibling.report.schedule;
-          report.verdict = sibling.report.verdict;
-          report.reason = sibling.report.reason;
-          report.radius = sibling.report.radius;
-          report.via_characterization = sibling.report.via_characterization;
-          report.characterization_computed =
-              sibling.report.characterization_computed;
-          report.engines = sibling.report.engines;
-          report.cache = "artifacts";
-          obs::MetricsRegistry::global().counter("cache.artifacts").add();
-          // Re-key under the live digest so the next identical run is an
-          // exact hit.
-          store->store_verdict(fp, opt_digest, report, record_budget);
-          report.cache_store_bytes = store->bytes_written();
-          obs::MetricsRegistry::global()
-              .counter("cache.store_bytes")
-              .add(store->bytes_written());
-          report.phase_consult_ms = ms_since(start);
-          report.total_wall_ms = ms_since(start);
-          record_latencies();
-          return out;
         }
+        if (!replay_safe) continue;
+        report.schedule = sibling.report.schedule;
+        report.verdict = sibling.report.verdict;
+        report.reason = sibling.report.reason;
+        report.radius = sibling.report.radius;
+        report.via_characterization = sibling.report.via_characterization;
+        report.characterization_computed =
+            sibling.report.characterization_computed;
+        report.engines = sibling.report.engines;
+        report.cache = "artifacts";
+        obs::MetricsRegistry::global().counter("cache.artifacts").add();
+        // Re-key under the live digest so the next identical run is an
+        // exact hit.
+        store->store_verdict(fp, opt_digest, report, record_budget);
+        report.cache_store_bytes = store->bytes_written();
+        obs::MetricsRegistry::global()
+            .counter("cache.store_bytes")
+            .add(store->bytes_written());
+        report.phase_consult_ms = ms_since(start);
+        report.total_wall_ms = ms_since(start);
+        record_latencies();
+        return out;
       }
 
       // Warm start, tier B: stored artifacts seed the chromatic probe. The
       // engine materializes them under the live identity inside execute()
-      // (after any lane cloning) and still climbs every rung, so verdict,
+      // and still climbs every rung, so verdict,
       // reason, radius — and every counter — match a cold run; only the
       // ladder/Δ-image construction work is saved.
       if (schedule_str == "ladder") {
@@ -424,29 +387,14 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
         .add(store->bytes_written());
   };
 
-  // Counter deltas are this run's share of the shared pool's telemetry;
-  // max_queue_depth is a high-water mark and stays cumulative.
-  const auto sample_exec_stats = [&exec_before, &ladder_before,
-                                  &ladder_counters, &report] {
-    const ExecutorStats now = Executor::global().stats();
-    report.executor_stats.jobs_run = now.jobs_run - exec_before.jobs_run;
-    report.executor_stats.steals = now.steals - exec_before.steals;
-    report.executor_stats.injections = now.injections - exec_before.injections;
-    report.executor_stats.max_queue_depth = now.max_queue_depth;
-    report.executor_stats.help_runs = now.help_runs - exec_before.help_runs;
-    const PipelineReport::LadderBuildStats lnow = ladder_counters();
-    report.ladder_stats.parallel_chunks =
-        lnow.parallel_chunks - ladder_before.parallel_chunks;
-    report.ladder_stats.merge_ns = lnow.merge_ns - ladder_before.merge_ns;
-    report.ladder_stats.stripe_contention =
-        lnow.stripe_contention - ladder_before.stripe_contention;
-  };
+  // Never tripped: a decide runs to completion on this thread, so the
+  // engines' upfront token check always passes.
+  const CancellationToken token;
 
-  // Two processes: Proposition 5.4 decides exactly; nothing to race.
+  // Two processes: Proposition 5.4 decides exactly.
   if (task.num_processes == 2) {
     report.schedule = "exact";
     TwoProcessEngine engine(task);
-    CancellationToken token;
     const EngineReport r = engine.run(budget, token);
     report.engines.push_back(r);
     if (r.status == EngineStatus::Conclusive) {
@@ -461,7 +409,6 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
     publish(nullptr);
     report.phase_publish_ms = ms_since(publish_start);
     report.total_wall_ms = ms_since(start);
-    sample_exec_stats();
     record_latencies();
     return out;
   }
@@ -469,88 +416,54 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
   report.schedule = schedule_str;
   obs::trace_instant("pipeline/schedule/", report.schedule.c_str());
 
-  CancellationToken possibility_token;    // stops the chromatic probe
-  CancellationToken impossibility_token;  // stops the T'/generic lane
-
   ProbeEngine chromatic(task, ProbeKind::DirectChromatic);
   if (probe_seed != nullptr) chromatic.set_seed(probe_seed);
   EngineReport chromatic_report = chromatic.skipped();
-  ImpossibilityLane lane;
+  ImpossibilityChain chain;
 
-  if (race) {
-    // The impossibility lane interns into its own clone of the task; the
-    // chromatic probe interns into the original pool from this thread.
-    // Soundness makes the cross-lane cancellation verdict-neutral. The lane
-    // is one executor job: a pool worker picks it up while this thread runs
-    // the probe, and group.wait() both joins it and rethrows anything the
-    // lane threw.
-    const Task lane_task = clone_task(task);
-    Executor& executor = Executor::global();
-    executor.ensure_workers(threads_resolved > 2 ? threads_resolved - 1 : 1);
-    JobGroup group(executor);
-    group.submit([&]() {
-      TRI_SPAN("pipeline/lane/impossibility");
-      if (generic_route) {
-        run_generic_chain(lane_task, budget, impossibility_token,
-                          possibility_token, lane);
-        return;
-      }
-      run_impossibility_chain(lane_task, budget, impossibility_token,
-                              possibility_token, lane);
-      run_agnostic_probe(budget, impossibility_token, lane);
-    });
-    chromatic_report = chromatic.run(budget, possibility_token);
-    if (chromatic_report.status == EngineStatus::Conclusive) {
-      impossibility_token.request_stop();
+  // The ladder: impossibility chain, chromatic probe, T'-agnostic probe,
+  // each skipped once an earlier engine concluded.
+  if (generic_route) {
+    const Task chain_task = clone_task(task);
+    run_generic_chain(chain_task, budget, token, chain);
+    if (!chain.concluded_impossible) {
+      chromatic_report = chromatic.run(budget, token);
     }
-    group.wait();
+  } else if (characterize_route) {
+    const Task chain_task = clone_task(task);
+    run_impossibility_chain(chain_task, budget, token, chain);
+    if (!chain.concluded_impossible) {
+      chromatic_report = chromatic.run(budget, token);
+      if (chromatic_report.status != EngineStatus::Conclusive) {
+        run_agnostic_probe(budget, token, chain);
+      }
+    }
   } else {
-    // Sequential ladder: impossibility chain, chromatic probe, T'-agnostic
-    // probe, each side skipped once an earlier engine concluded.
-    if (generic_route) {
-      const Task lane_task = clone_task(task);
-      run_generic_chain(lane_task, budget, impossibility_token,
-                        possibility_token, lane);
-      if (!lane.concluded_impossible) {
-        chromatic_report = chromatic.run(budget, possibility_token);
-      }
-    } else if (characterize_route) {
-      const Task lane_task = clone_task(task);
-      run_impossibility_chain(lane_task, budget, impossibility_token,
-                              possibility_token, lane);
-      if (!lane.concluded_impossible) {
-        chromatic_report = chromatic.run(budget, possibility_token);
-        if (chromatic_report.status != EngineStatus::Conclusive) {
-          run_agnostic_probe(budget, impossibility_token, lane);
-        }
-      }
-    } else {
-      chromatic_report = chromatic.run(budget, possibility_token);
-    }
+    chromatic_report = chromatic.run(budget, token);
   }
 
   // Canonical engine order for the report.
   if (generic_route) {
-    report.engines.push_back(std::move(lane.generic));
+    report.engines.push_back(std::move(chain.generic));
     report.engines.push_back(std::move(chromatic_report));
   } else if (characterize_route) {
-    report.engines.push_back(std::move(lane.characterize));
-    report.engines.push_back(std::move(lane.cor55));
-    report.engines.push_back(std::move(lane.cor56));
-    report.engines.push_back(std::move(lane.csp));
-    report.engines.push_back(std::move(lane.homology));
+    report.engines.push_back(std::move(chain.characterize));
+    report.engines.push_back(std::move(chain.cor55));
+    report.engines.push_back(std::move(chain.cor56));
+    report.engines.push_back(std::move(chain.csp));
+    report.engines.push_back(std::move(chain.homology));
     report.engines.push_back(std::move(chromatic_report));
-    report.engines.push_back(std::move(lane.agnostic));
+    report.engines.push_back(std::move(chain.agnostic));
   } else {
     report.engines.push_back(std::move(chromatic_report));
   }
 
-  // Lane payload, independent of the merge outcome (mirrors the ladder,
-  // which always exposed the characterization and corollaries when run).
-  out.characterization = lane.characterization;
-  out.cor55 = lane.cor55_result;
-  out.cor56 = lane.cor56_result;
-  report.characterization_computed = lane.characterization != nullptr;
+  // Chain payload, independent of the merge outcome (the characterization
+  // and corollaries are exposed whenever they ran).
+  out.characterization = chain.characterization;
+  out.cor55 = chain.cor55_result;
+  out.cor56 = chain.cor56_result;
+  report.characterization_computed = chain.characterization != nullptr;
 
   const EngineReport* best = best_conclusive(report.engines);
   if (best == nullptr) {
@@ -565,7 +478,7 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
       out.witness = chromatic.witness();
       out.witness_domain = chromatic.witness_domain();
     } else if (best->precedence == engine_precedence::kAgnosticProbe) {
-      report.radius = lane.agnostic_radius;
+      report.radius = chain.agnostic_radius;
       report.via_characterization = true;
     } else if (best->verdict == Verdict::Unsolvable &&
                best->precedence != engine_precedence::kGenericConnectivity) {
@@ -589,7 +502,6 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
   publish(&chromatic);
   report.phase_publish_ms = ms_since(publish_start);
   report.total_wall_ms = ms_since(start);
-  sample_exec_stats();
   record_latencies();
   return out;
 }

@@ -40,7 +40,6 @@ SolvabilityResult decide_two_process(const Task& task,
   EngineBudget budget;
   budget.max_radius = options.max_radius;
   budget.node_cap = options.node_cap;
-  budget.threads = options.threads;
   const EngineReport report = engine.run(budget, token);
   if (report.status == EngineStatus::Conclusive) {
     result.verdict = report.verdict;
@@ -70,7 +69,6 @@ MapSearchResult colorless_probe(const Task& task,
   EngineBudget budget;
   budget.max_radius = options.max_radius;
   budget.node_cap = options.node_cap;
-  budget.threads = options.threads;
   budget.reuse_subdivisions = options.reuse_subdivisions;
   budget.reuse_images = options.reuse_images;
   probe.run(budget, token);
@@ -78,11 +76,10 @@ MapSearchResult colorless_probe(const Task& task,
 }
 
 MapSearchResult colorless_probe(const Task& task, int max_radius,
-                                std::size_t node_cap, int threads) {
+                                std::size_t node_cap) {
   SolvabilityOptions options;
   options.max_radius = max_radius;
   options.node_cap = node_cap;
-  options.threads = threads;
   return colorless_probe(task, options);
 }
 

@@ -16,10 +16,8 @@
 //      characterization — for a color-agnostic map into T', which by
 //      Lemma 5.3 (the Figure-7 algorithm) also yields a protocol.
 //
-// With >= 2 threads the two sides race and the first conclusive engine
-// cancels the other side; the verdict, reason, radius and
-// via_characterization are identical for every thread count (see
-// solver/pipeline.h for the determinism contract).
+// The pipeline runs the two sides as one sequential ladder on the calling
+// thread, stopping at the first conclusive engine (see solver/pipeline.h).
 //
 // Existence of a continuous map is undecidable in general, so the pipeline
 // can return Unknown when every engine is inconclusive at the configured
@@ -61,9 +59,9 @@ struct SolvabilityResult {
   std::shared_ptr<const SubdividedComplex> witness_domain;
   VertexMap witness;
 
-  /// The characterization pipeline output (populated when that lane ran to
-  /// completion; with >= 2 threads a fast chromatic witness may cancel it).
-  /// Its tasks reference their own cloned pool — use
+  /// The characterization pipeline output (populated when the
+  /// characterization route ran). Its tasks reference their own cloned
+  /// pool — use
   /// `characterization->canonical.pool` for names, not the original task's.
   std::shared_ptr<CharacterizationResult> characterization;
   /// Pre-split corollaries, for reporting.
@@ -88,10 +86,9 @@ SolvabilityResult decide_two_process(const Task& task,
 /// itself (not T'). Used to demonstrate the hourglass phenomenon: the
 /// colorless ACT condition can hold while the chromatic task is unsolvable.
 /// Implemented as a standalone ProbeEngine invocation honoring every budget
-/// knob (node cap, threads, reuse_subdivisions, reuse_images).
+/// knob (node cap, reuse_subdivisions, reuse_images).
 MapSearchResult colorless_probe(const Task& task, const SolvabilityOptions& options);
 MapSearchResult colorless_probe(const Task& task, int max_radius,
-                                std::size_t node_cap = 20'000'000,
-                                int threads = 1);
+                                std::size_t node_cap = 20'000'000);
 
 }  // namespace trichroma

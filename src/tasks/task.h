@@ -58,8 +58,8 @@ std::vector<VertexId> preimage_vertices(const Task& task, VertexId y);
 /// source pool's values and vertices are replayed into the new pool in id
 /// order, which (both pools being deduplicated) reproduces identical
 /// ValueIds and VertexIds, so the complexes and Δ are copied verbatim.
-/// Pipeline stages that intern concurrently (the racing scheduler's lanes)
-/// each work on a clone instead of sharing the unsynchronized pool.
+/// The pipeline runs its impossibility chain on a clone, so the chain's
+/// interning never shifts the ids the chromatic probe sees.
 Task clone_task(const Task& task);
 
 }  // namespace trichroma

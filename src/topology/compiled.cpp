@@ -80,25 +80,6 @@ void CompiledComplex::Builder::add(const Simplex& s) {
   }
 }
 
-void CompiledComplex::Builder::absorb(Builder&& other) {
-  auto append = [](auto& dst, auto& src) {
-    if (dst.empty()) {
-      dst = std::move(src);
-    } else {
-      dst.insert(dst.end(), src.begin(), src.end());
-    }
-    src.clear();
-  };
-  append(verts_, other.verts_);
-  append(edges_, other.edges_);
-  append(tris_, other.tris_);
-  if (high_.size() < other.high_.size()) high_.resize(other.high_.size());
-  for (std::size_t i = 0; i < other.high_.size(); ++i) {
-    append(high_[i], other.high_[i]);
-  }
-  other.high_.clear();
-}
-
 std::shared_ptr<const CompiledComplex> CompiledComplex::Builder::finish() {
   // shared_ptr<CompiledComplex> with private ctor: allocate via a local
   // subclass trampoline.

@@ -64,12 +64,6 @@ class CompiledComplex {
     /// Adds `s` alone; the caller promises the stream is closure-complete
     /// (used by compile(), whose source already stores every face).
     void add_closed(const Simplex& s);
-    /// Steals every cell `other` has accumulated. Because finish() sorts and
-    /// deduplicates globally, a builder assembled by absorbing per-chunk
-    /// builders produces a snapshot byte-identical to one fed the same cells
-    /// sequentially, in any order — the merge step of the parallel
-    /// subdivision build relies on exactly that. `other` is left empty.
-    void absorb(Builder&& other);
     std::shared_ptr<const CompiledComplex> finish();
 
    private:

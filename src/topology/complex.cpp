@@ -30,22 +30,6 @@ void SimplicialComplex::add_all(const SimplicialComplex& other) {
   for (const Simplex& f : other.facets()) add(f);
 }
 
-void SimplicialComplex::merge_from(SimplicialComplex&& other) {
-  if (by_dim_.size() < other.by_dim_.size()) by_dim_.resize(other.by_dim_.size());
-  for (std::size_t d = 0; d < other.by_dim_.size(); ++d) {
-    auto& src = other.by_dim_[d];
-    auto& dst = by_dim_[d];
-    if (dst.empty()) {
-      dst = std::move(src);
-    } else {
-      // Node splice: duplicates stay behind in `src` and are dropped with it.
-      dst.merge(src);
-    }
-    src.clear();
-  }
-  other.by_dim_.clear();
-}
-
 void SimplicialComplex::remove_with_cofaces(const Simplex& s) {
   if (!contains(s)) return;
   for (int d = s.dim(); d < static_cast<int>(by_dim_.size()); ++d) {

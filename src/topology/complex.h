@@ -27,13 +27,6 @@ class SimplicialComplex {
   /// Adds every simplex of `other`.
   void add_all(const SimplicialComplex& other);
 
-  /// Moves every simplex of `other` into this complex without recomputing
-  /// faces: both sides must already be closure-complete (the union of two
-  /// closed complexes is closed). This is the merge step of the chunked
-  /// parallel subdivision build — each chunk closes its own facets, so the
-  /// merge is pure node splicing. `other` is left empty.
-  void merge_from(SimplicialComplex&& other);
-
   /// Removes a simplex and every simplex containing it (star removal),
   /// keeping the complex closed under inclusion.
   void remove_with_cofaces(const Simplex& s);

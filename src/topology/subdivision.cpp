@@ -1,17 +1,13 @@
 #include "topology/subdivision.h"
 
-#include <algorithm>
 #include <array>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/executor.h"
 
 namespace trichroma {
 
@@ -220,12 +216,9 @@ const ChTemplate& ch_template(std::size_t n) {
   }
 }
 
-namespace {
-
-// The sequential stamped build: the threads = 1 path, and the oracle the
-// parallel path is asserted against in debug builds.
-SubdividedComplex subdivide_once_sequential(VertexPool& pool,
-                                            const SubdividedComplex& prev) {
+SubdividedComplex subdivide_once(VertexPool& pool,
+                                 const SubdividedComplex& prev) {
+  TRI_SPAN("topology/subdivide_once");
   obs::MetricsRegistry::global().counter("topology.subdivide.builds").add();
   SubdividedComplex out;
   ValuePool& values = pool.values();
@@ -288,246 +281,7 @@ SubdividedComplex subdivide_once_sequential(VertexPool& pool,
 #ifndef NDEBUG
   out.compiled->debug_verify_against(out.complex);
 #endif
-  return out;
-}
-
-/// Key for the phase-1 view-value memo: the member values of one view, in
-/// the canonical (ascending position) order phase 1 encounters them. Two
-/// occurrences of the same subdivision view always produce the same member
-/// vector, so the memo collapses the of_set/of_tuple string-key interning of
-/// every repeat occurrence into one small-array hash.
-struct ViewKey {
-  std::array<std::uint32_t, 8> m;
-  std::uint8_t n = 0;
-
-  bool operator==(const ViewKey& o) const { return n == o.n && m == o.m; }
-};
-
-struct ViewKeyHash {
-  std::size_t operator()(const ViewKey& k) const noexcept {
-    std::size_t h = k.n;
-    for (std::uint8_t i = 0; i < k.n; ++i) {
-      h ^= k.m[i] + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-// The two-phase parallel build (threads >= 2). Phase 1 runs the canonical
-// interning walk sequentially — vertex/value ids are pool insertion order,
-// so id assignment is the irreducibly ordered part — while deferring all
-// carrier unions. Phase 2 fans facet stamping and carrier construction out
-// over weighted chunks of the canonical simplex order, each chunk filling a
-// private builder and a private (closure-complete) complex. Phase 3 merges
-// the chunks back in chunk order; both merge targets are canonicalizing
-// (Builder::finish sorts + dedups, SimplicialComplex is a set), so the
-// result is independent of the chunking and identical to the sequential
-// build.
-//
-// Pool-state equivalence with the sequential path: phase 1 performs the
-// first-occurrence intern sequence of every new value at exactly the point
-// the sequential walk would (the memos only skip *repeat* interns, which are
-// pool no-ops), so every ValueId and VertexId comes out identical — which is
-// what keeps warm-started ladders (io/store.h) and parallel cold builds
-// byte-compatible.
-SubdividedComplex subdivide_once_parallel(VertexPool& pool,
-                                          const SubdividedComplex& prev,
-                                          int threads) {
-  obs::MetricsRegistry::global().counter("topology.subdivide.builds").add();
-  SubdividedComplex out;
-  ValuePool& values = pool.values();
-  const ValueId view_tag = values.of_string("view");
-
-  const std::vector<Simplex> simplices = prev.complex.all_simplices();
-  const std::size_t count = simplices.size();
-
-  // ---- Phase 1: canonical-order interning (sequential). --------------------
-  std::vector<VertexId> verts_flat;          // per σ: uniq index → vertex
-  std::vector<std::uint32_t> vert_off(count + 1, 0);
-  std::vector<std::uint32_t> facet_counts(count, 0);
-  std::size_t total_facets = 0;
-  /// One deferred carrier union: fill `slot` with the union of
-  /// prev-carriers over `view`'s bits of simplex `sigma`. Slots are
-  /// unordered_map values (node-stable), each written by exactly one task.
-  struct CarrierTask {
-    Simplex* slot;
-    std::uint32_t sigma;
-    std::uint8_t view;
-  };
-  std::vector<CarrierTask> carrier_tasks;
-  {
-    TRI_SPAN("ladder/intern");
-    constexpr std::uint32_t kUnset = 0xffffffffu;
-    // Dense of_int memo: arguments are raw ids of prev's vertices, all
-    // interned before this build starts, so pool.size() bounds them.
-    std::vector<std::uint32_t> int_memo(pool.size(), kUnset);
-    std::unordered_map<ViewKey, ValueId, ViewKeyHash> view_memo;
-    std::array<ValueId, 8> pos_int;
-    std::vector<ValueId> members;
-    for (std::size_t si = 0; si < count; ++si) {
-      const std::vector<VertexId>& sv = simplices[si].vertices();
-      const std::size_t m = sv.size();
-      const ChTemplate& tpl = ch_template(m);
-      facet_counts[si] = static_cast<std::uint32_t>(tpl.num_facets);
-      total_facets += tpl.num_facets;
-      for (std::size_t i = 0; i < m; ++i) {
-        std::uint32_t& memo = int_memo[raw(sv[i])];
-        if (memo == kUnset) {
-          memo = raw(values.of_int(static_cast<std::int64_t>(raw(sv[i]))));
-        }
-        pos_int[i] = static_cast<ValueId>(memo);
-      }
-      for (const ChTemplate::TVert& tv : tpl.uniq) {
-        ViewKey key;
-        key.m.fill(kUnset);
-        for (std::size_t i = 0; i < m; ++i) {
-          if (tv.view & (1u << i)) key.m[key.n++] = raw(pos_int[i]);
-        }
-        ValueId view_value;
-        const auto memo = view_memo.find(key);
-        if (memo != view_memo.end()) {
-          view_value = memo->second;
-        } else {
-          members.clear();
-          for (std::size_t i = 0; i < m; ++i) {
-            if (tv.view & (1u << i)) members.push_back(pos_int[i]);
-          }
-          view_value = values.of_tuple(
-              {view_tag, values.of_set({members.begin(), members.end()})});
-          view_memo.emplace(key, view_value);
-        }
-        const VertexId nv = pool.vertex(pool.color(sv[tv.pos]), view_value);
-        const auto [slot, fresh] = out.carrier.emplace(nv, Simplex{});
-        if (fresh) {
-          carrier_tasks.push_back(
-              {&slot->second, static_cast<std::uint32_t>(si), tv.view});
-        }
-        verts_flat.push_back(nv);
-      }
-      vert_off[si + 1] = static_cast<std::uint32_t>(verts_flat.size());
-    }
-  }
-
-  // ---- Phase 2: chunked stamping + carrier unions (parallel). --------------
-  Executor& executor = Executor::global();
-  executor.ensure_workers(threads - 1);
-  const std::size_t chunks = Executor::recommended_chunks(threads, count);
-  // Facet-weighted chunk boundaries over the canonical order: a dim-2
-  // simplex stamps 13 facets against a vertex's 1, and all_simplices() is
-  // dimension-grouped, so equal-count chunks would serialize on the
-  // triangle-heavy tail.
-  std::vector<std::size_t> bounds(chunks + 1, count);
-  bounds[0] = 0;
-  {
-    std::size_t acc = 0;
-    std::size_t c = 1;
-    for (std::size_t i = 0; i < count && c < chunks; ++i) {
-      acc += facet_counts[i];
-      if (acc * chunks >= total_facets * c) bounds[c++] = i + 1;
-    }
-  }
-
-  struct Chunk {
-    CompiledComplex::Builder builder;
-    SimplicialComplex complex;
-    std::size_t stamps = 0;
-  };
-  std::vector<Chunk> parts(chunks);
-  const auto carrier_split = [&carrier_tasks](std::size_t sigma_bound) {
-    return static_cast<std::size_t>(
-        std::lower_bound(carrier_tasks.begin(), carrier_tasks.end(), sigma_bound,
-                         [](const CarrierTask& t, std::size_t bound) {
-                           return t.sigma < bound;
-                         }) -
-        carrier_tasks.begin());
-  };
-  {
-    TRI_SPAN("ladder/stamp");
-    const auto run_chunk = [&](std::size_t c) {
-      TRI_SPAN("ladder/stamp-chunk");
-      Chunk& part = parts[c];
-      for (std::size_t si = bounds[c]; si < bounds[c + 1]; ++si) {
-        const std::size_t m = simplices[si].size();
-        const ChTemplate& tpl = ch_template(m);
-        const VertexId* verts = verts_flat.data() + vert_off[si];
-        const std::uint16_t* slot = tpl.slots.data();
-        for (std::size_t f = 0; f < tpl.num_facets; ++f, slot += m) {
-          std::vector<VertexId> facet_vertices(m);
-          for (std::size_t i = 0; i < m; ++i) facet_vertices[i] = verts[slot[i]];
-          Simplex facet(std::move(facet_vertices));
-          part.builder.add(facet);
-          part.complex.add(facet);
-        }
-        part.stamps += tpl.num_facets;
-      }
-      const std::size_t task_hi = carrier_split(bounds[c + 1]);
-      for (std::size_t t = carrier_split(bounds[c]); t < task_hi; ++t) {
-        const CarrierTask& task = carrier_tasks[t];
-        const std::vector<VertexId>& sv = simplices[task.sigma].vertices();
-        Simplex carrier;
-        for (std::size_t i = 0; i < sv.size(); ++i) {
-          if (task.view & (1u << i)) carrier = carrier.unite(prev.carrier.at(sv[i]));
-        }
-        *task.slot = std::move(carrier);
-      }
-    };
-    JobGroup group(executor);
-    for (std::size_t c = 1; c < chunks; ++c) {
-      group.submit([&run_chunk, c] { run_chunk(c); });
-    }
-    if (chunks > 0) run_chunk(0);
-    group.wait();
-  }
-
-  // ---- Phase 3: deterministic chunk-order merge (sequential). --------------
-  std::size_t stamps = 0;
-  {
-    TRI_SPAN("ladder/merge");
-    const auto merge_start = std::chrono::steady_clock::now();
-    CompiledComplex::Builder builder;
-    for (Chunk& part : parts) {
-      builder.absorb(std::move(part.builder));
-      out.complex.merge_from(std::move(part.complex));
-      stamps += part.stamps;
-    }
-    out.compiled = builder.finish();
-    const auto merge_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - merge_start)
-                              .count();
-    obs::MetricsRegistry::global()
-        .counter("ladder.merge_ns")
-        .add(static_cast<std::uint64_t>(merge_ns));
-  }
-  obs::MetricsRegistry::global().counter("ladder.template.stamps").add(stamps);
-  obs::MetricsRegistry::global().counter("ladder.parallel_chunks").add(chunks);
-
-#ifndef NDEBUG
-  {
-    // Equivalence oracle: the sequential build re-interns only values the
-    // parallel phase 1 already created (re-interning is a pool no-op), so
-    // the pool is untouched and any divergence is a chunked-build bug.
-    const SubdividedComplex ref = subdivide_once_sequential(pool, prev);
-    assert(out.complex == ref.complex);
-    assert(out.carrier.size() == ref.carrier.size());
-    for (const auto& [v, c] : ref.carrier) {
-      assert(out.carrier.count(v) == 1);
-      assert(out.carrier.at(v) == c);
-    }
-  }
-  out.compiled->debug_verify_against(out.complex);
-#endif
-  return out;
-}
-
-}  // namespace
-
-SubdividedComplex subdivide_once(VertexPool& pool, const SubdividedComplex& prev,
-                                 int threads) {
-  TRI_SPAN("topology/subdivide_once");
-  SubdividedComplex out = threads <= 1 ? subdivide_once_sequential(pool, prev)
-                                       : subdivide_once_parallel(pool, prev, threads);
-  // Ch-level size distribution: one record per level actually built, at
-  // every thread count (the facet count is schedule-independent). Kozlov's
+  // Ch-level size distribution: one record per level built. Kozlov's
   // growth rates make this checkable — a pure 2-dimensional level stamps 13
   // facets per facet, so consecutive levels land ~log2(13) buckets apart.
   static obs::Histogram& level_facets =
@@ -538,10 +292,10 @@ SubdividedComplex subdivide_once(VertexPool& pool, const SubdividedComplex& prev
 }
 
 SubdividedComplex chromatic_subdivision(VertexPool& pool, const SimplicialComplex& base,
-                                        int rounds, int threads) {
+                                        int rounds) {
   SubdividedComplex cur = identity_subdivision(base);
   for (int r = 0; r < rounds; ++r) {
-    cur = subdivide_once(pool, cur, threads);
+    cur = subdivide_once(pool, cur);
   }
   return cur;
 }
@@ -566,7 +320,7 @@ std::shared_ptr<const SubdividedComplex> SubdivisionLadder::share(int r) {
     // blowup), so each level gets its own span.
     TRI_SPAN("topology/ch/r=", static_cast<long long>(max_computed() + 1));
     levels_.push_back(std::make_shared<const SubdividedComplex>(
-        subdivide_once(pool_, *levels_.back(), threads_)));
+        subdivide_once(pool_, *levels_.back())));
   }
   return levels_[static_cast<std::size_t>(r)];
 }

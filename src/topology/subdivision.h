@@ -57,24 +57,16 @@ SubdividedComplex identity_subdivision(const SimplicialComplex& base);
 /// carriers composed so they still point into the original base complex.
 /// Every simplex of `prev.complex` must be chromatic.
 ///
-/// `threads <= 1` runs the sequential stamped build. `threads > 1` runs the
-/// two-phase parallel build on the shared executor (runtime/executor.h): a
-/// sequential canonical-order interning pass assigns every vertex id in
-/// exactly the sequential order (ids and pool state are part of the
-/// determinism contract — warm-started ladders must extend to bit-identical
-/// pool state), then facet stamping and carrier construction fan out over
-/// weighted chunks of the canonical simplex order into private builders,
-/// merged back in chunk order. The result — complex, carriers, compiled
-/// snapshot, and pool state — is identical at every thread count (asserted
-/// against the sequential path in debug builds).
-SubdividedComplex subdivide_once(VertexPool& pool, const SubdividedComplex& prev,
-                                 int threads = 1);
+/// Stamps the precomputed Ch template (`ch_template`) onto every simplex of
+/// `prev` in canonical order, so vertex ids and pool state are a function
+/// of `prev`'s content — warm-started ladders (io/store.h) extend to the
+/// pool state a cold build reaches.
+SubdividedComplex subdivide_once(VertexPool& pool,
+                                 const SubdividedComplex& prev);
 
 /// Ch^r(base): `rounds` iterations of the standard chromatic subdivision.
-/// `threads` is forwarded to each `subdivide_once` (same contract: the
-/// result is thread-count independent).
 SubdividedComplex chromatic_subdivision(VertexPool& pool, const SimplicialComplex& base,
-                                        int rounds, int threads = 1);
+                                        int rounds);
 
 /// All ordered set partitions of `items` (each block non-empty, blocks
 /// ordered). For |items| = 3 there are 13. Deterministic order.
@@ -157,16 +149,9 @@ class SubdivisionLadder {
   /// Highest radius memoized so far; -1 before the first `at` call.
   int max_computed() const { return static_cast<int>(levels_.size()) - 1; }
 
-  /// Worker threads for the `subdivide_once` builds behind `share`/`at`
-  /// (<= 1 = sequential; see subdivide_once — every level is identical at
-  /// every thread count, so this is a pure wall-clock knob).
-  void set_threads(int threads) { threads_ = threads; }
-  int threads() const { return threads_; }
-
  private:
   VertexPool& pool_;
   SimplicialComplex base_;
-  int threads_ = 1;
   // levels_[r] == Ch^r(base_)
   std::deque<std::shared_ptr<const SubdividedComplex>> levels_;
 };

@@ -1,8 +1,8 @@
 // The parallel batch driver (solver/batch.h): the report set for the whole
 // 21-task zoo catalog must be byte-identical — after timing redaction — for
-// every --jobs value and every inner search thread count, and must come
-// back in catalog order. This is the contract that makes `trichroma batch
-// --report-dir` artifacts diffable across machines and worker counts.
+// every --jobs value, and must come back in catalog order. This is the
+// contract that makes `trichroma batch --report-dir` artifacts diffable
+// across machines and worker counts.
 
 #include <stdexcept>
 #include <string>
@@ -49,28 +49,6 @@ TEST(BatchDriver, FullCatalogReportsByteIdenticalAcrossJobCounts) {
   }
 }
 
-TEST(BatchDriver, FullCatalogReportsByteIdenticalAcrossSearchThreadCounts) {
-  // Inner search parallelism composes with outer batch parallelism; neither
-  // may leak into the reports.
-  BatchOptions base;
-  base.jobs = 1;
-  base.solve.threads = 1;
-  const std::vector<std::string> expected = rendered_reports(run_batch(base));
-
-  for (int threads : {2, 8}) {
-    BatchOptions options;
-    options.jobs = 2;
-    options.solve.threads = threads;
-    const BatchResult result = run_batch(options);
-    const std::vector<std::string> actual = rendered_reports(result);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(actual[i], expected[i])
-          << result.tasks[i].name << " differs at --threads " << threads;
-    }
-  }
-}
-
 TEST(BatchDriver, ResultsComeBackInCatalogOrder) {
   const std::vector<zoo::CatalogEntry>& catalog = zoo::catalog();
   BatchOptions options;
@@ -95,19 +73,6 @@ TEST(BatchDriver, UnknownTaskNameThrows) {
   BatchOptions options;
   options.only = {"no_such_task"};
   EXPECT_THROW(run_batch(options), std::invalid_argument);
-}
-
-TEST(BatchDriver, ReportsNeverUseTheRacingSchedule) {
-  // The driver pins kLadder so engine statuses are schedule-independent;
-  // two-process tasks report their exact branch.
-  BatchOptions options;
-  options.jobs = 8;
-  options.solve.threads = 8;  // would race under kAuto
-  const BatchResult result = run_batch(options);
-  for (const BatchTaskResult& t : result.tasks) {
-    EXPECT_TRUE(t.report.schedule == "ladder" || t.report.schedule == "exact")
-        << t.name << " ran under " << t.report.schedule;
-  }
 }
 
 TEST(BatchDriver, CountsUnknownVerdicts) {

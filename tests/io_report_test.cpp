@@ -24,11 +24,9 @@ std::string read_golden(const std::string& name) {
 }
 
 TEST(Report, HourglassGoldenFile) {
-  // threads = 1 makes the whole report deterministic (engine statuses and
-  // node counts included); redacting timings makes it byte-stable.
-  SolvabilityOptions options;
-  options.threads = 1;
-  const PipelineResult r = run_pipeline(zoo::hourglass(), options);
+  // The whole report is deterministic (engine statuses and node counts
+  // included); redacting timings makes it byte-stable.
+  const PipelineResult r = run_pipeline(zoo::hourglass());
   io::ReportJsonOptions json;
   json.redact_timings = true;
   EXPECT_EQ(io::to_json(r.report, json), read_golden("hourglass_report.json"));
@@ -38,11 +36,9 @@ TEST(Report, SchemaFieldsPresentForEveryVerdictShape) {
   // One solvable (radius > 0), one two-process: the other report shapes.
   for (Task (*build)() : {+[] { return zoo::subdivision_task(1); },
                           +[] { return zoo::consensus_2(); }}) {
-    SolvabilityOptions options;
-    options.threads = 1;
-    const PipelineResult r = run_pipeline(build(), options);
+    const PipelineResult r = run_pipeline(build());
     const std::string json = io::to_json(r.report);
-    EXPECT_NE(json.find("\"schema\": \"trichroma.pipeline-report/9\""),
+    EXPECT_NE(json.find("\"schema\": \"trichroma.pipeline-report/10\""),
               std::string::npos);
     EXPECT_NE(json.find("\"verdict\":"), std::string::npos);
     // Schema v6/v7: the verdict-store marker and rollup, each on one line so
@@ -53,16 +49,12 @@ TEST(Report, SchemaFieldsPresentForEveryVerdictShape) {
               std::string::npos);
     EXPECT_NE(json.find("\"engines\": ["), std::string::npos);
     EXPECT_NE(json.find("\"characterization\": "), std::string::npos);
-    // Schema v4: the metrics section with its deterministic rollups and the
-    // executor telemetry sub-object.
+    // Schema v4: the metrics section with its deterministic rollups. Schema
+    // v10 dropped its executor and ladder telemetry sub-objects.
     EXPECT_NE(json.find("\"metrics\": {"), std::string::npos);
     EXPECT_NE(json.find("\"nodes_explored_total\":"), std::string::npos);
-    EXPECT_NE(json.find("\"executor\": {"), std::string::npos);
-    EXPECT_NE(json.find("\"max_queue_depth\":"), std::string::npos);
-    // Schema v8: the parallel ladder-build telemetry sub-object.
-    EXPECT_NE(json.find("\"ladder\": {"), std::string::npos);
-    EXPECT_NE(json.find("\"parallel_chunks\":"), std::string::npos);
-    EXPECT_NE(json.find("\"stripe_contention\":"), std::string::npos);
+    EXPECT_EQ(json.find("\"executor\":"), std::string::npos);
+    EXPECT_EQ(json.find("\"ladder\":"), std::string::npos);
     // Schema v9: per-run attribution. The "run" object (phases, cache tier
     // on a `"cache":` line, deterministic rollups) and the per-engine
     // distributions, each rendered on a single line.
@@ -84,11 +76,9 @@ TEST(Report, SchemaFieldsPresentForEveryVerdictShape) {
 TEST(Report, CharacterizationMarkerIsExplicitNeverAbsent) {
   // The marker must be present with a concrete value in BOTH states — a
   // consumer should never have to interpret a missing field. With the
-  // characterization route disabled the lane cannot run, so the report
-  // must say "not-computed" (the same rendering covers the raced-out case
-  // at threads >= 2, which is inherently timing-dependent).
+  // characterization route disabled the engine cannot run, so the report
+  // must say "not-computed".
   SolvabilityOptions off;
-  off.threads = 1;
   off.use_characterization = false;
   const PipelineResult skipped = run_pipeline(zoo::hourglass(), off);
   EXPECT_EQ(skipped.characterization, nullptr);
@@ -98,11 +88,9 @@ TEST(Report, CharacterizationMarkerIsExplicitNeverAbsent) {
   EXPECT_EQ(skipped_json.find("\"characterization\": null"),
             std::string::npos);
 
-  // Hourglass at threads = 1 runs the impossibility ladder to completion,
-  // so the payload exists and the marker flips.
-  SolvabilityOptions on;
-  on.threads = 1;
-  const PipelineResult computed = run_pipeline(zoo::hourglass(), on);
+  // Hourglass runs the impossibility ladder to completion, so the payload
+  // exists and the marker flips.
+  const PipelineResult computed = run_pipeline(zoo::hourglass());
   EXPECT_NE(computed.characterization, nullptr);
   EXPECT_NE(io::to_json(computed.report)
                 .find("\"characterization\": \"computed\""),
@@ -110,9 +98,7 @@ TEST(Report, CharacterizationMarkerIsExplicitNeverAbsent) {
 }
 
 TEST(Report, RedactTimingsZeroesEveryWallClock) {
-  SolvabilityOptions options;
-  options.threads = 1;
-  const PipelineResult r = run_pipeline(zoo::identity_task(), options);
+  const PipelineResult r = run_pipeline(zoo::identity_task());
   io::ReportJsonOptions json;
   json.redact_timings = true;
   const std::string text = io::to_json(r.report, json);
@@ -123,35 +109,6 @@ TEST(Report, RedactTimingsZeroesEveryWallClock) {
     EXPECT_EQ(text.substr(pos, std::string("wall_ms\": 0.000").size()),
               "wall_ms\": 0.000");
   }
-}
-
-TEST(Report, RedactTimingsZeroesExecutorTelemetry) {
-  // The executor sub-object is scheduling telemetry — as nondeterministic
-  // as a wall clock — so redaction must zero it for byte-stable reports,
-  // while the unredacted rendering keeps the sampled values.
-  PipelineReport report;
-  report.executor_stats = ExecutorStats{12, 3, 4, 7, 5};
-  report.ladder_stats = PipelineReport::LadderBuildStats{9, 1234, 2};
-  io::ReportJsonOptions redacted;
-  redacted.redact_timings = true;
-  const std::string text = io::to_json(report, redacted);
-  EXPECT_NE(text.find("\"jobs_run\": 0"), std::string::npos);
-  EXPECT_NE(text.find("\"steals\": 0"), std::string::npos);
-  EXPECT_NE(text.find("\"max_queue_depth\": 0"), std::string::npos);
-  EXPECT_NE(text.find("\"help_runs\": 0"), std::string::npos);
-  // The ladder sub-object (schema v8) is equally scheduling-dependent.
-  EXPECT_NE(text.find("\"parallel_chunks\": 0"), std::string::npos);
-  EXPECT_NE(text.find("\"merge_ns\": 0"), std::string::npos);
-  EXPECT_NE(text.find("\"stripe_contention\": 0"), std::string::npos);
-  const std::string raw = io::to_json(report);
-  EXPECT_NE(raw.find("\"jobs_run\": 12"), std::string::npos);
-  EXPECT_NE(raw.find("\"steals\": 3"), std::string::npos);
-  EXPECT_NE(raw.find("\"injections\": 4"), std::string::npos);
-  EXPECT_NE(raw.find("\"max_queue_depth\": 7"), std::string::npos);
-  EXPECT_NE(raw.find("\"help_runs\": 5"), std::string::npos);
-  EXPECT_NE(raw.find("\"parallel_chunks\": 9"), std::string::npos);
-  EXPECT_NE(raw.find("\"merge_ns\": 1234"), std::string::npos);
-  EXPECT_NE(raw.find("\"stripe_contention\": 2"), std::string::npos);
 }
 
 TEST(Report, JsonEscapeHandlesControlAndQuoteCharacters) {

@@ -131,14 +131,14 @@ TEST(Store, OptionsDigestSeparatesBudgets) {
   const std::string base = io::options_digest(a, "ladder");
   EXPECT_EQ(io::options_digest(a, "ladder"), base);
   EXPECT_EQ(base.size(), 16u);
-  EXPECT_NE(io::options_digest(a, "racing"), base);
+  EXPECT_NE(io::options_digest(a, "exact"), base);
   SolvabilityOptions b = a;
   b.max_radius = a.max_radius + 1;
   EXPECT_NE(io::options_digest(b, "ladder"), base);
   SolvabilityOptions c = a;
   c.node_cap = a.node_cap / 2;
   EXPECT_NE(io::options_digest(c, "ladder"), base);
-  // Thread count is explicitly NOT part of the key.
+  // The ignored thread count is explicitly NOT part of the key.
   SolvabilityOptions d = a;
   d.threads = 7;
   EXPECT_EQ(io::options_digest(d, "ladder"), base);
@@ -150,9 +150,7 @@ TEST(Store, OptionsDigestSeparatesBudgets) {
 
 TEST(Store, VerdictRecordRoundTripsTheDeterministicSlice) {
   const Task task = zoo::hourglass();
-  SolvabilityOptions options;
-  options.threads = 1;
-  const PipelineReport cold = run_pipeline(task, options).report;
+  const PipelineReport cold = run_pipeline(task).report;
   ASSERT_FALSE(cold.engines.empty());
 
   PipelineReport parsed;

@@ -414,7 +414,6 @@ TEST(Heartbeat, PeriodicWriterPublishesMidRunAndFlushesOnStop) {
 TEST(Heartbeat, BatchPublishesProgressOverSelectedTasks) {
   const std::string dir = fresh_dir("batch-hb");
   BatchOptions options;
-  options.solve.threads = 1;
   options.solve.max_radius = 1;
   options.jobs = 1;
   options.only = {"identity", "consensus_2"};
@@ -554,9 +553,7 @@ TEST(TraceStats, LiveCaptureSpanCountsMatchRegistryCounters) {
   // ladder builds.
   obs::MetricsRegistry::global().reset();
   obs::trace_start();
-  SolvabilityOptions options;
-  options.threads = 1;
-  run_pipeline(zoo::subdivision_task(1), options);
+  run_pipeline(zoo::subdivision_task(1));
   obs::trace_stop();
   const obs::TraceStats s = obs::analyze_trace(obs::trace_to_json());
   ASSERT_EQ(obs::trace_dropped(), 0u);

@@ -1,9 +1,8 @@
 // The tracing + metrics subsystem (src/obs): disabled-by-default behavior,
 // Chrome trace-event export validity, the B/E pairing guarantee (spans drop
 // whole, never half), session restarts, overflow accounting, and the
-// metrics registry. The pipeline property test runs a real multi-threaded
-// solve under tracing, so the TSan job exercises the exporter/writer
-// handshake.
+// metrics registry. The property test runs a real two-job batch under
+// tracing, so the TSan job exercises the exporter/writer handshake.
 
 #include <cctype>
 #include <cstddef>
@@ -16,6 +15,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "solver/batch.h"
 #include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
@@ -218,23 +218,25 @@ TEST(Trace, SessionCollectsSpansInstantsAndCounters) {
 }
 
 TEST(Trace, TracedPipelineRunEmitsValidPairedEventsFromAllLayers) {
-  // The property test: a real racing pipeline solve under tracing. Workers
-  // write their own buffers; the export afterwards must be valid JSON and
-  // every span must pair up on its own thread.
+  // The property test: a real two-job batch under tracing, over tasks that
+  // include a solvable one (so the probes run). The caller and a pool
+  // worker write their own buffers; the export afterwards must be valid
+  // JSON and every span must pair up on its own thread.
   obs::trace_start();
-  SolvabilityOptions options;
-  options.threads = 2;
-  const PipelineResult r = run_pipeline(zoo::hourglass(), options);
+  BatchOptions options;
+  options.jobs = 2;
+  options.only = {"identity", "subdivision1", "hourglass"};
+  const BatchResult result = run_batch(options);
   obs::trace_stop();
-  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
+  ASSERT_EQ(result.tasks.size(), 3u);
+  EXPECT_EQ(result.unknown, 0);
 
   const std::string json = obs::trace_to_json();
   EXPECT_TRUE(JsonChecker(json).valid());
   const auto events = scrape_events(json);
   expect_spans_pair(events);
-  // All four instrumented layers speak up: pipeline lanes, map search,
-  // topology substrate, and the executor (job spans or queue counters —
-  // which one depends on who won the tickets).
+  // All four instrumented layers speak up: the pipeline, map search, the
+  // topology substrate, and the executor running the batch's task loops.
   EXPECT_TRUE(has_event_with_prefix(events, "pipeline/"));
   EXPECT_TRUE(has_event_with_prefix(events, "map_search/"));
   EXPECT_TRUE(has_event_with_prefix(events, "topology/"));
@@ -326,9 +328,7 @@ TEST(Metrics, ToJsonIsValidAndCarriesTheSchema) {
 
 TEST(Metrics, GlobalRegistryAccumulatesSolverCounters) {
   obs::MetricsRegistry::global().reset();
-  SolvabilityOptions options;
-  options.threads = 1;
-  run_pipeline(zoo::hourglass(), options);
+  run_pipeline(zoo::hourglass());
   const auto snapshot = obs::MetricsRegistry::global().snapshot();
   std::map<std::string, std::uint64_t> counters(snapshot.begin(),
                                                 snapshot.end());

@@ -146,5 +146,36 @@ TEST(Solvability, SurfaceLoopAgreementUnsolvable) {
       Verdict::Unsolvable);
 }
 
+TEST(Solvability, ColdAndLadderProbesAgree) {
+  // reuse_subdivisions / reuse_images off reproduces the seed engine; the
+  // verdict and radius must not depend on the caching strategy.
+  SolvabilityOptions cold;
+  cold.reuse_subdivisions = false;
+  cold.reuse_images = false;
+  for (const zoo::CatalogEntry& entry : zoo::catalog()) {
+    const SolvabilityResult a = decide_solvability(entry.build());
+    const SolvabilityResult b = decide_solvability(entry.build(), cold);
+    EXPECT_EQ(a.verdict, b.verdict) << entry.name;
+    EXPECT_EQ(a.radius, b.radius) << entry.name;
+  }
+}
+
+TEST(Solvability, CapReasonNamesProbeAndRadius) {
+  // A starved budget must say exactly which probe and radius were truncated.
+  // Characterization off so the obstruction engines cannot preempt the probe
+  // loop (set agreement would otherwise be refuted before any search runs);
+  // its radius-1 refutation needs a few hundred nodes, so a 50-node budget
+  // reliably truncates the probe.
+  SolvabilityOptions options;
+  options.node_cap = 50;
+  options.max_radius = 1;
+  options.use_characterization = false;
+  const SolvabilityResult r = decide_solvability(zoo::set_agreement_32(), options);
+  ASSERT_EQ(r.verdict, Verdict::Unknown);
+  EXPECT_NE(r.reason.find("chromatic probe at radius"), std::string::npos)
+      << r.reason;
+  EXPECT_NE(r.reason.find("node cap"), std::string::npos) << r.reason;
+}
+
 }  // namespace
 }  // namespace trichroma

@@ -105,13 +105,9 @@ std::string redacted(const PipelineReport& report) {
   return io::to_json(report, json);
 }
 
-// Forced kLadder so the schedule (part of the store key, and the statuses
-// it implies) is identical at every thread count — the same pinning the
-// batch driver applies.
 SolvabilityOptions ladder_options(const std::string& cache_dir,
                                   int max_radius) {
   SolvabilityOptions options;
-  options.schedule = PipelineSchedule::kLadder;
   options.cache_dir = cache_dir;
   options.max_radius = max_radius;
   return options;

@@ -28,9 +28,10 @@
 // entries oldest-first, so a surviving verdict never loses its artifacts.
 //
 // `decide --trace out.json` records a Chrome trace-event timeline of the
-// run (spans from the executor, map searches, pipeline lanes and topology
+// run (spans from map searches, pipeline engines and the topology
 // substrate) — open it in chrome://tracing or https://ui.perfetto.dev.
-// `batch --trace-dir DIR` does the same for a whole batch, writing
+// `batch --trace-dir DIR` does the same for a whole batch (plus the
+// executor's job spans), writing
 // DIR/trace.json plus the registry totals as DIR/metrics.json — the
 // metrics file is republished rename-atomically every second during the
 // run, so a killed batch still leaves a valid, near-current snapshot.
@@ -111,8 +112,6 @@ int usage() {
                "                     p50/p99, critical path, worker utilization\n"
                "  version            print version, report schema and build type\n"
                "options:\n"
-               "  --threads N        pipeline + search workers (default: 1 = sequential\n"
-               "                     ladder; 0 = hardware concurrency)\n"
                "  --max-radius N     probe decision maps up to Ch^N (default: 2)\n"
                "  --node-cap N       search-node budget per probe (default: 20000000)\n"
                "  --jobs N           (batch) concurrent whole-task pipelines\n"
@@ -128,7 +127,7 @@ int usage() {
                "  --report FILE      (decide/synth) write the JSON pipeline report\n"
                "  --report-dir DIR   (batch) write one JSON report per task\n"
                "                     (timings redacted: files are byte-identical\n"
-               "                     for every --jobs and --threads value)\n"
+               "                     for every --jobs value)\n"
                "  --trace FILE       (decide/synth) write a Chrome trace-event\n"
                "                     timeline (chrome://tracing, Perfetto)\n"
                "  --trace-dir DIR    (batch) write DIR/trace.json + DIR/metrics.json\n"
@@ -243,9 +242,8 @@ int cmd_decide(const Task& task, const CliOptions& cli) {
   maybe_write_report(r, cli);
   maybe_write_metrics(cli);
   if (r.characterization != nullptr) {
-    // The characterization lane runs on a clone of the task, so the report
-    // must be rendered against its own pool (it may not have run at all if
-    // the chromatic probe concluded first and cancelled it).
+    // The characterization runs on a clone of the task, so the report must
+    // be rendered against its own pool.
     std::printf("\n%s",
                 r.characterization->report(*r.characterization->canonical.pool)
                     .c_str());
@@ -305,7 +303,7 @@ int cmd_batch(const CliOptions& cli) {
                 r.reason.c_str());
     if (!cli.report_dir.empty()) {
       // Redacted timings: the one schedule-dependent quantity is zeroed, so
-      // these files are byte-identical for every --jobs/--threads value.
+      // these files are byte-identical for every --jobs value.
       io::ReportJsonOptions json_options;
       json_options.redact_timings = true;
       io::write_text_file(cli.report_dir + "/" + t.name + ".json",
@@ -474,16 +472,7 @@ int main(int argc, char** argv) {
   CliOptions cli;
   std::vector<char*> args{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc) return usage();
-      long n = 0;
-      if (!parse_long(argv[++i], 0, 4096, &n)) {
-        std::fprintf(stderr, "error: --threads expects a non-negative integer, got '%s'\n",
-                     argv[i]);
-        return usage();
-      }
-      cli.solve.threads = static_cast<int>(n);
-    } else if (std::strcmp(argv[i], "--max-radius") == 0) {
+    if (std::strcmp(argv[i], "--max-radius") == 0) {
       if (i + 1 >= argc) return usage();
       long n = 0;
       if (!parse_long(argv[++i], 0, 32, &n)) {
