@@ -1,12 +1,13 @@
 // Batch-driver throughput: the whole 21-task zoo catalog through the
-// solvability pipeline at --jobs 1/2/4/8 on the shared work-stealing
-// executor. On a multi-core host the jobs sweep shows the wall-clock
-// scaling of whole-task parallelism (tasks are embarrassingly parallel; the
-// long pole is the slowest single task); on a single-core container the
-// rows document that the executor adds no meaningful overhead over the
-// sequential loop. The per-report *contents* are identical in every row —
-// the determinism contract pinned by batch_driver_test — so this benchmark
-// only measures scheduling.
+// solvability pipeline at --jobs 1/2/4/8. Each run_batch call starts its
+// own threads (min(jobs, tasks) - 1 of them, plus the caller), so every
+// iteration pays that spawn and join. On a multi-core host the jobs sweep
+// shows the wall-clock scaling of whole-task parallelism (tasks are
+// embarrassingly parallel; the long pole is the slowest single task); on a
+// single-core host the rows document that the fan-out adds no meaningful
+// overhead over the sequential loop. The per-report *contents* are
+// identical in every row — the determinism contract pinned by
+// batch_driver_test — so this benchmark only measures scheduling.
 
 #include <benchmark/benchmark.h>
 
@@ -34,7 +35,7 @@ BENCHMARK(BM_ZooBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 // The CI smoke subset: cheap tasks only, for a fast signal that the batch
-// path itself (selection, executor fan-out, catalog-order collection) is
+// path itself (selection, thread fan-out, catalog-order collection) is
 // not regressing independently of solver cost.
 void BM_ZooBatchSubset(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));

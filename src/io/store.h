@@ -93,9 +93,9 @@ class VerdictStore {
 
   /// Loads the verdict record for (fp, options_digest). On hit, overwrites
   /// the record-carried fields of `report` (task shape, schedule, verdict,
-  /// reason, radius, characterization markers, engines; wall clocks and
-  /// executor stats zeroed) and returns true. Options and cache fields of
-  /// `report` are left to the caller. Any anomaly returns false.
+  /// reason, radius, characterization markers, engines; wall clocks
+  /// zeroed) and returns true. Options and cache fields of `report` are
+  /// left to the caller. Any anomaly returns false.
   bool load_verdict(const TaskFingerprint& fp, const std::string& opt_digest,
                     PipelineReport* report) const;
 

@@ -18,8 +18,9 @@ std::size_t trimmed_buckets(const HistogramSnapshot& h) {
 }  // namespace
 
 MetricsRegistry& MetricsRegistry::global() {
-  // Leaked on purpose: worker threads may bump counters during static
-  // destruction (the executor's global pool is leaked for the same reason).
+  // Leaked on purpose: a counter bumped during static destruction (by
+  // another static's destructor or a thread still running at exit) must
+  // never see a destroyed registry.
   static MetricsRegistry* instance = new MetricsRegistry;
   return *instance;
 }

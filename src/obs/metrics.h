@@ -1,7 +1,7 @@
 #pragma once
 // Process-wide metrics: a registry of named monotonic counters, gauges and
 // log-bucketed histograms the solver layers report into as they work (cache
-// hits, subdivisions built, CSP domain sizes, job latencies, ...). All three
+// hits, subdivisions built, CSP domain sizes, run latencies, ...). All three
 // instrument kinds share the interned-reference idiom: look the instrument up
 // once by its dotted path (the reference stays valid for the registry's
 // lifetime), then record through plain relaxed atomics — always on, cheap
@@ -9,7 +9,6 @@
 // (see map_search.cpp's per-CSP domain histogram).
 //
 // Naming scheme: dotted lower-case paths, layer first —
-//   executor.*      the work-stealing pool (also exposed as ExecutorStats)
 //   map_search.*    find_decision_map (searches, cap hits, overflows)
 //   search.*        search-shape distributions (CSP domain sizes, ...)
 //   pipeline.*      runs, engine outcomes, run latencies

@@ -52,10 +52,12 @@ struct BufferRegistry {
   std::atomic<std::uint64_t> generation{1};
   std::atomic<std::uint64_t> epoch_ns{0};
   std::size_t capacity = std::size_t{1} << 16;
+  std::uint32_t next_tid = 1;
 };
 
 BufferRegistry& registry() {
-  // Leaked on purpose: pool threads may trace during static destruction.
+  // Leaked on purpose: a span closing during static destruction must never
+  // see a destroyed registry.
   static BufferRegistry* instance = new BufferRegistry;
   return *instance;
 }
@@ -72,8 +74,7 @@ ThreadBuffer* local_buffer() {
   if (tls == nullptr) {
     BufferRegistry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    tls = std::make_shared<ThreadBuffer>(
-        reg.capacity, static_cast<std::uint32_t>(reg.buffers.size() + 1));
+    tls = std::make_shared<ThreadBuffer>(reg.capacity, reg.next_tid++);
     reg.buffers.push_back(tls);
   }
   return tls.get();
@@ -196,6 +197,12 @@ void trace_start(std::size_t per_thread_capacity) {
   trace_detail::BufferRegistry& reg = trace_detail::registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   reg.capacity = per_thread_capacity == 0 ? 1 : per_thread_capacity;
+  // Batch threads live for one run_batch call; once one has exited, the
+  // registry holds its buffer's last reference and nothing can write to it
+  // again, so drop it instead of resizing it.
+  std::erase_if(reg.buffers, [](const std::shared_ptr<ThreadBuffer>& buffer) {
+    return buffer.use_count() == 1;
+  });
   for (const std::shared_ptr<ThreadBuffer>& buffer : reg.buffers) {
     // Safe only because sessions never overlap instrumented work in flight
     // (see trace.h): owners observe the resize through the generation bump.

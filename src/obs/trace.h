@@ -2,8 +2,8 @@
 // Low-overhead tracing: per-thread event buffers with RAII spans, exported
 // as Chrome trace-event (catapult) JSON — load the file in chrome://tracing
 // or https://ui.perfetto.dev to see where a run spends its time across the
-// executor, the decision-map searches, the pipeline lanes and the topology
-// substrate.
+// batch threads, the pipeline engines, the decision-map searches and the
+// topology substrate.
 //
 // Cost model. Tracing is disabled by default and every instrumentation site
 // guards on ONE relaxed-ish atomic load: a TRI_SPAN with tracing off is a
@@ -27,7 +27,7 @@
 // events recorded under an older generation are never exported, and a span
 // closing across a restart discards itself. Start/stop/export must not
 // overlap instrumented work in flight (the CLI traces around one whole
-// command; tests quiesce the executor between sessions).
+// command; tests start and stop sessions around a whole, joined batch).
 //
 // Determinism boundary. Tracing output is pure observability: nothing read
 // from these buffers feeds back into any solver decision, and the

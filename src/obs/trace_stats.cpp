@@ -235,7 +235,7 @@ TraceStats analyze_trace(const std::string& trace_json) {
 
   // Critical path of the slowest pipeline run: starting from that run's
   // interval, repeatedly descend into the longest span strictly contained
-  // in the current one (any tid — a run's cost may live in executor jobs).
+  // in the current one (any tid — spans from every thread are candidates).
   std::size_t current = spans.size();
   for (std::size_t i = 0; i < spans.size(); ++i) {
     if (spans[i].name != "pipeline/run") continue;
@@ -259,13 +259,13 @@ TraceStats analyze_trace(const std::string& trace_json) {
     current = best;
   }
 
-  // Per-worker executor utilization over the trace's wall extent.
+  // Per-thread batch-worker utilization over the trace's wall extent.
   std::map<std::uint32_t, WorkerUtilization> workers;
   for (const Span& s : spans) {
-    if (s.name != "executor/job") continue;
+    if (s.name != "batch/worker") continue;
     WorkerUtilization& w = workers[s.tid];
     w.tid = s.tid;
-    w.jobs += 1;
+    w.spans += 1;
     w.busy_ms += s.dur_us() / 1000.0;
   }
   for (auto& [tid, w] : workers) {
@@ -300,11 +300,11 @@ std::string format_trace_stats(const TraceStats& stats) {
   }
   if (!stats.workers.empty()) {
     out += '\n';
-    append_line(out, "executor workers:");
-    append_line(out, "  %-6s %8s %12s %12s", "tid", "jobs", "busy_ms", "util");
+    append_line(out, "batch workers:");
+    append_line(out, "  %-6s %8s %12s %12s", "tid", "spans", "busy_ms", "util");
     for (const WorkerUtilization& w : stats.workers) {
       append_line(out, "  %-6u %8llu %12.3f %11.1f%%", w.tid,
-                  static_cast<unsigned long long>(w.jobs), w.busy_ms,
+                  static_cast<unsigned long long>(w.spans), w.busy_ms,
                   100.0 * w.utilization);
     }
   }

@@ -2,7 +2,7 @@
 // Trace analytics: turn a recorded Chrome trace (obs/trace.h's
 // trace_to_json output, or any trace in the same flat one-object-per-event
 // shape) into answers — per-span-name aggregates, the critical path of the
-// slowest pipeline run, and per-worker executor utilization. Backs the
+// slowest pipeline run, and per-thread batch-worker utilization. Backs the
 // `trichroma trace-stats` subcommand.
 //
 // The analyzer exploits an exporter invariant: spans write both their 'B'
@@ -39,11 +39,11 @@ struct CriticalPathStep {
   double dur_ms = 0.0;
 };
 
-/// Executor-thread busy time: the summed `executor/job` span durations of
-/// one tid over the trace's wall-clock extent.
+/// Batch-thread busy time: the summed `batch/worker` span durations of one
+/// tid over the trace's wall-clock extent (one span per batch phase).
 struct WorkerUtilization {
   std::uint32_t tid = 0;
-  std::uint64_t jobs = 0;
+  std::uint64_t spans = 0;
   double busy_ms = 0.0;
   double utilization = 0.0;  ///< busy_ms / wall_ms, in [0, 1] give or take clock skew
 };
@@ -57,7 +57,7 @@ struct TraceStats {
   /// has none): the run itself first, then its longest contained span, then
   /// that span's longest contained span, and so on across all tids.
   std::vector<CriticalPathStep> critical_path;
-  std::vector<WorkerUtilization> workers;  ///< tids with executor/job spans
+  std::vector<WorkerUtilization> workers;  ///< tids with batch/worker spans
   /// The embedded registry snapshot ("metrics" instant args), when present.
   std::map<std::string, std::uint64_t> counters;
 };

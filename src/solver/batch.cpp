@@ -2,20 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstddef>
-#include <functional>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/executor.h"
 #include "tasks/fingerprint.h"
 #include "tasks/zoo.h"
 
@@ -26,24 +25,6 @@ namespace {
 std::size_t top_facet_count(const SimplicialComplex& k) {
   const int top = k.dimension();
   return top < 0 ? 0 : k.count(top);
-}
-
-// Runs `loop` on up to `jobs` threads at once over `slots` work items:
-// `jobs - 1` executor jobs plus the calling thread. Each loop claims slots
-// from a shared counter until none are left.
-void fan_out(int jobs, std::size_t slots, const std::function<void()>& loop) {
-  if (jobs <= 1 || slots <= 1) {
-    loop();
-    return;
-  }
-  Executor& executor = Executor::global();
-  executor.ensure_workers(jobs - 1);
-  JobGroup group(executor);
-  const std::size_t extra =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs) - 1, slots - 1);
-  for (std::size_t w = 0; w < extra; ++w) group.submit(loop);
-  loop();
-  group.wait();
 }
 
 }  // namespace
@@ -80,77 +61,80 @@ BatchResult run_batch(const BatchOptions& options) {
   }
 
   const SolvabilityOptions& per_task = options.solve;
+  const std::size_t slots = selected.size();
+  const bool dedup = !per_task.cache_dir.empty();
 
   BatchResult out;
-  out.tasks.resize(selected.size());
-  const int jobs = resolve_batch_jobs(options.jobs);
+  out.tasks.resize(slots);
 
-  // Cache mode: fingerprint pre-pass for intra-batch dedup (see the header
+  // Cache mode: a fingerprint pre-pass for intra-batch dedup (see the header
   // comment — isomorphic twins must not race to publish one store entry).
   // Each slot builds its own task (fresh pool, race-free) and fills only its
-  // own row, so the builds fan out as executor jobs; the first_slot dedup
-  // stays a sequential slot-order pass afterwards, which is what keeps
-  // `dup_of` (and therefore every replayed report) independent of the job
-  // count. A slot that fails to fingerprint simply runs cold like everyone
+  // own row. A slot that fails to fingerprint simply runs cold like everyone
   // else.
-  std::vector<int> dup_of(selected.size(), -1);
-  std::vector<std::string> task_names(selected.size());
-  std::vector<std::size_t> in_facets(selected.size(), 0);
-  std::vector<std::size_t> out_facets(selected.size(), 0);
-  if (!per_task.cache_dir.empty()) {
-    TRI_SPAN("batch/fingerprint-prepass");
-    std::vector<std::string> fp_hex(selected.size());
-    std::atomic<std::size_t> fp_next{0};
-    const auto fingerprint_slots = [&] {
-      for (;;) {
-        const std::size_t i = fp_next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= selected.size()) return;
-        try {
-          const Task task = selected[i]->build();
-          task_names[i] = task.name;
-          in_facets[i] = top_facet_count(task.input);
-          out_facets[i] = top_facet_count(task.output);
-          fp_hex[i] = fingerprint_of(task).hex();
-        } catch (...) {
+  std::vector<int> dup_of(slots, -1);
+  std::vector<std::string> task_names(slots);
+  std::vector<std::size_t> in_facets(slots, 0);
+  std::vector<std::size_t> out_facets(slots, 0);
+  std::vector<std::string> fp_hex(slots);
+  std::atomic<std::size_t> fp_next{0};
+  const auto fingerprint_slots = [&] {
+    for (;;) {
+      const std::size_t i = fp_next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= slots) return;
+      try {
+        const Task task = selected[i]->build();
+        task_names[i] = task.name;
+        in_facets[i] = top_facet_count(task.input);
+        out_facets[i] = top_facet_count(task.output);
+        fp_hex[i] = fingerprint_of(task).hex();
+      } catch (...) {
+      }
+    }
+  };
+  // The dedup itself runs once, in slot order, after every fingerprint is
+  // in — which is what keeps `dup_of` (and therefore every replayed report)
+  // independent of the job count. The barrier runs it, so it must not
+  // throw: a quadratic scan over a catalog-sized selection allocates
+  // nothing.
+  const auto dedup_slots = [&]() noexcept {
+    for (std::size_t i = 0; i < slots; ++i) {
+      if (fp_hex[i].empty()) continue;  // build threw: no dedup for this slot
+      for (std::size_t j = 0; j < i; ++j) {
+        if (fp_hex[j] == fp_hex[i]) {
+          dup_of[i] = static_cast<int>(j);
+          break;
         }
       }
-    };
-    fan_out(jobs, selected.size(), fingerprint_slots);
-    std::unordered_map<std::string, std::size_t> first_slot;
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      if (fp_hex[i].empty()) continue;  // build threw: no dedup for this slot
-      const auto [it, inserted] = first_slot.emplace(fp_hex[i], i);
-      if (!inserted) dup_of[i] = static_cast<int>(it->second);
     }
-  }
+  };
 
   // Heartbeat: liveness snapshots for long runs. `completed` counts slots
   // whose work is finished — dup slots count as soon as the drive loop skips
   // them (their replay is a post-join copy, not work). The writer spans the
-  // whole drive phase and flushes a final snapshot when reset below.
+  // whole run and flushes a final snapshot when reset below.
   std::atomic<std::uint64_t> completed{0};
   std::unique_ptr<obs::HeartbeatWriter> heartbeat;
   if (!options.heartbeat_file.empty()) {
     heartbeat = std::make_unique<obs::HeartbeatWriter>(
         options.heartbeat_file, options.heartbeat_interval_s,
-        [&completed, total = selected.size()] {
+        [&completed, slots] {
           return obs::HeartbeatProgress{
               completed.load(std::memory_order_relaxed),
-              static_cast<std::uint64_t>(total)};
+              static_cast<std::uint64_t>(slots)};
         });
   }
 
-  // One self-scheduling loop per driver: `jobs - 1` on the executor plus the
-  // caller, so at most `jobs` pipelines run at once. Tasks are built inside
-  // the loop — each owns a fresh pool, so the builds are race-free — and
-  // each writes only its own slot.
+  // Self-scheduling drive loop: claims slots until none are left. Tasks are
+  // built inside the loop — each owns a fresh pool, so the builds are
+  // race-free — and each writes only its own slot.
   std::atomic<std::size_t> next{0};
-  auto drive = [&selected, &per_task, &out, &next, &dup_of, &completed] {
+  const auto drive = [&] {
     static obs::Counter& tasks_done =
         obs::MetricsRegistry::global().counter("batch.tasks");
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= selected.size()) return;
+      if (i >= slots) return;
       if (dup_of[i] >= 0) {  // replayed from its twin after the join
         completed.fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -163,13 +147,51 @@ BatchResult run_batch(const BatchOptions& options) {
       completed.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  fan_out(jobs, selected.size(), drive);
+
+  // The fan-out (see the header): the caller plus `threads - 1` helpers,
+  // each running both phases, each phase inside one `batch/worker` span. A
+  // thread that throws keeps its exception and sits out the rest; the
+  // others finish the batch, and the first captured exception in thread
+  // order is rethrown after the join.
+  const std::size_t threads = std::min<std::size_t>(
+      static_cast<std::size_t>(resolve_batch_jobs(options.jobs)), slots);
+  std::barrier sync(static_cast<std::ptrdiff_t>(threads), dedup_slots);
+  std::vector<std::exception_ptr> errors(threads);
+  const auto phase = [&errors](std::size_t t, const auto& loop) {
+    if (errors[t]) return;
+    try {
+      TRI_SPAN("batch/worker");
+      loop();
+    } catch (...) {
+      errors[t] = std::current_exception();
+    }
+  };
+  const auto worker = [&](std::size_t t) {
+    if (dedup) phase(t, fingerprint_slots);
+    sync.arrive_and_wait();
+    phase(t, drive);
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (std::size_t t = 1; t < threads; ++t) {
+      try {
+        helpers.emplace_back(worker, t);
+      } catch (...) {
+        sync.arrive_and_drop();  // the started threads cover its slots
+      }
+    }
+    worker(0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 
   // Isomorphic-twin replays: the dedup pre-pass runs in slot order, so a
   // dup's twin always has a lower index and its report is final here. The
   // replay keeps the twin's verdict-relevant slice (byte-identical contract)
   // and the dup's own display identity.
-  for (std::size_t i = 0; i < selected.size(); ++i) {
+  for (std::size_t i = 0; i < slots; ++i) {
     if (dup_of[i] < 0) continue;
     PipelineReport replay = out.tasks[static_cast<std::size_t>(dup_of[i])].report;
     // The built task's own name, exactly as a cold pipeline run would have

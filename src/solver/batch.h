@@ -1,11 +1,12 @@
 #pragma once
 // The parallel batch driver: run the whole zoo catalog (or a named subset)
-// through the solvability pipeline, `jobs` tasks at a time, on the shared
-// work-stealing executor.
+// through the solvability pipeline, `jobs` tasks at a time.
 //
-// Concurrency model. The driver submits `jobs - 1` task-loop jobs to the
-// executor and runs one loop itself (the caller is always a worker), so at
-// most `jobs` whole-task pipelines are in flight at once. This is the only
+// Concurrency model. Each call starts min(jobs, selected tasks) - 1 plain
+// threads and runs one more loop on the caller, so at most `jobs`
+// whole-task pipelines are in flight at once. The threads live for the
+// whole call: every one runs the fingerprint pre-pass loop (cache mode
+// only), meets the others at a barrier, then runs the drive loop. This is the only
 // parallelism in the solver: each pipeline is single-threaded and
 // self-contained — every task is built fresh inside its loop iteration, so
 // it owns its vertex pool, and each engine run owns its SubdivisionLadder
@@ -24,11 +25,11 @@
 // counts are NOT invariant under chromatic isomorphism (exploration order
 // follows pool interning order), two isomorphic catalog entries racing to
 // publish one store entry would make reports depend on scheduling. The
-// driver therefore runs a sequential fingerprint pre-pass and *dedups
-// within the batch*: a slot whose fingerprint matches an earlier slot never
-// runs — it replays that slot's finished report (renamed to its own task)
-// as a cache hit. The pre-pass order is catalog order, so which twin runs
-// cold is a pure function of the selection, at every `jobs` value.
+// driver therefore runs a fingerprint pre-pass and *dedups within the
+// batch*: a slot whose fingerprint matches an earlier slot never runs — it
+// replays that slot's finished report (renamed to its own task) as a cache
+// hit. The dedup runs once, in catalog order, at the barrier, so which twin
+// runs cold is a pure function of the selection, at every `jobs` value.
 
 #include <string>
 #include <vector>

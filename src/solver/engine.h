@@ -24,7 +24,6 @@
 
 #include "core/characterization.h"
 #include "core/obstructions.h"
-#include "runtime/cancellation.h"
 #include "solver/map_search.h"
 #include "tasks/fingerprint.h"
 #include "tasks/task.h"
@@ -35,8 +34,20 @@ enum class Verdict { Solvable, Unsolvable, Unknown };
 
 const char* to_string(Verdict v);
 
-// CancellationToken lives in runtime/cancellation.h (every executor job
-// group owns one); engines keep using it through this header.
+/// Cooperative cancellation: a one-way flag that AnalysisEngine::run checks
+/// once before an engine starts.
+class CancellationToken {
+ public:
+  CancellationToken() = default;
+  CancellationToken(const CancellationToken&) = delete;
+  CancellationToken& operator=(const CancellationToken&) = delete;
+
+  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
+  bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<bool> stop_{false};
+};
 
 /// Which side of the semi-decision pair an engine argues. Exact engines
 /// (Proposition 5.4 for two processes) decide both directions; Support
@@ -273,11 +284,6 @@ enum class ProbeKind {
   ColorlessDirect,
 };
 
-/// The possibility side: climbs the radius ladder r = 0..max_radius running
-/// one decision-map search per rung, sharing one SubdivisionLadder and one
-/// DeltaImageCache across rungs (both optional via the budget's reuse
-/// flags). Interns subdivision vertices into the task's pool, so the
-/// caller must own that pool exclusively while the probe runs.
 /// Warm-start seed for a chromatic probe: serialized store artifacts from a
 /// stored twin of the task (io/store.h), plus the LIVE task's canonical
 /// labeling to translate them into its display identity. The engine
@@ -290,6 +296,11 @@ struct ProbeSeed {
   CanonicalLabeling labeling;  ///< the live task's canonical labeling
 };
 
+/// The possibility side: climbs the radius ladder r = 0..max_radius running
+/// one decision-map search per rung, sharing one SubdivisionLadder and one
+/// DeltaImageCache across rungs (both optional via the budget's reuse
+/// flags). Interns subdivision vertices into the task's pool, so the
+/// caller must own that pool exclusively while the probe runs.
 class ProbeEngine final : public AnalysisEngine {
  public:
   ProbeEngine(const Task& task, ProbeKind kind) : task_(task), kind_(kind) {}

@@ -509,7 +509,7 @@ TEST(TraceStats, MiniTraceAggregatesPinned) {
   EXPECT_NEAR(s.spans[0].total_ms, 10.0, 1e-9);
   EXPECT_EQ(s.spans[1].name, "map_search/prefix");
   EXPECT_NEAR(s.spans[1].total_ms, 6.0, 1e-9);
-  EXPECT_EQ(s.spans[2].name, "executor/job");
+  EXPECT_EQ(s.spans[2].name, "batch/worker");
   EXPECT_EQ(s.spans[2].count, 2u);
   EXPECT_NEAR(s.spans[2].total_ms, 4.0, 1e-9);
   EXPECT_NEAR(s.spans[2].p50_ms, 2.0, 1e-9);
@@ -518,27 +518,27 @@ TEST(TraceStats, MiniTraceAggregatesPinned) {
   EXPECT_NEAR(s.spans[3].total_ms, 1.0, 1e-9);
 
   // Critical path descends across tids: run -> its longest contained span
-  // -> the executor job nested inside THAT.
+  // -> the batch/worker span nested inside THAT.
   ASSERT_EQ(s.critical_path.size(), 3u);
   EXPECT_EQ(s.critical_path[0].name, "pipeline/run");
   EXPECT_EQ(s.critical_path[1].name, "map_search/prefix");
-  EXPECT_EQ(s.critical_path[2].name, "executor/job");
+  EXPECT_EQ(s.critical_path[2].name, "batch/worker");
   EXPECT_NEAR(s.critical_path[2].dur_ms, 2.0, 1e-9);
 
   ASSERT_EQ(s.workers.size(), 1u);
   EXPECT_EQ(s.workers[0].tid, 2u);
-  EXPECT_EQ(s.workers[0].jobs, 2u);
+  EXPECT_EQ(s.workers[0].spans, 2u);
   EXPECT_NEAR(s.workers[0].busy_ms, 4.0, 1e-9);
   EXPECT_NEAR(s.workers[0].utilization, 4.0 / 10.5, 1e-9);
 
   ASSERT_EQ(s.counters.size(), 2u);
   EXPECT_EQ(s.counters.at("pipeline.runs"), 1u);
-  EXPECT_EQ(s.counters.at("executor.jobs"), 2u);
+  EXPECT_EQ(s.counters.at("batch.tasks"), 2u);
 
   const std::string text = obs::format_trace_stats(s);
   EXPECT_NE(text.find("pipeline/run"), std::string::npos);
   EXPECT_NE(text.find("critical path"), std::string::npos);
-  EXPECT_NE(text.find("executor workers:"), std::string::npos);
+  EXPECT_NE(text.find("batch workers:"), std::string::npos);
 }
 
 TEST(TraceStats, RejectsDocumentsWithoutTraceEvents) {

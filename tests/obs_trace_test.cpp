@@ -6,7 +6,9 @@
 
 #include <cctype>
 #include <cstddef>
+#include <filesystem>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -219,8 +221,8 @@ TEST(Trace, SessionCollectsSpansInstantsAndCounters) {
 
 TEST(Trace, TracedPipelineRunEmitsValidPairedEventsFromAllLayers) {
   // The property test: a real two-job batch under tracing, over tasks that
-  // include a solvable one (so the probes run). The caller and a pool
-  // worker write their own buffers; the export afterwards must be valid
+  // include a solvable one (so the probes run). The caller and a helper
+  // thread write their own buffers; the export afterwards must be valid
   // JSON and every span must pair up on its own thread.
   obs::trace_start();
   BatchOptions options;
@@ -236,11 +238,46 @@ TEST(Trace, TracedPipelineRunEmitsValidPairedEventsFromAllLayers) {
   const auto events = scrape_events(json);
   expect_spans_pair(events);
   // All four instrumented layers speak up: the pipeline, map search, the
-  // topology substrate, and the executor running the batch's task loops.
+  // topology substrate, and the batch threads running the task loops.
   EXPECT_TRUE(has_event_with_prefix(events, "pipeline/"));
   EXPECT_TRUE(has_event_with_prefix(events, "map_search/"));
   EXPECT_TRUE(has_event_with_prefix(events, "topology/"));
-  EXPECT_TRUE(has_event_with_prefix(events, "executor/"));
+  EXPECT_TRUE(has_event_with_prefix(events, "batch/worker"));
+}
+
+TEST(Trace, BatchThreadsStartOncePerBatch) {
+  // A cached two-job batch runs two phases, the fingerprint pre-pass and
+  // then the drive, on the same two threads: each tid opens one
+  // batch/worker span per phase. Threads started per phase would show up
+  // as extra tids.
+  const std::string dir = testing::TempDir() + "trichroma-trace-once";
+  std::filesystem::remove_all(dir);
+  BatchOptions options;
+  options.jobs = 2;
+  options.solve.cache_dir = dir;
+  options.only = {"identity", "subdivision0", "hourglass"};
+  obs::trace_start();
+  const BatchResult result = run_batch(options);
+  obs::trace_stop();
+  ASSERT_EQ(result.tasks.size(), 3u);
+  // The barrier's dedup still replays subdivision0 from its twin, identity.
+  EXPECT_EQ(result.tasks[1].name, "subdivision0");
+  EXPECT_EQ(result.tasks[1].report.cache, "hit");
+  EXPECT_EQ(result.cache_hits, 1);
+
+  std::set<long> span_tids;
+  std::map<long, int> worker_spans;  // tid -> batch/worker spans
+  for (const ScrapedEvent& e : scrape_events(obs::trace_to_json())) {
+    if (e.phase != 'B') continue;
+    span_tids.insert(e.tid);
+    if (e.name == "batch/worker") ++worker_spans[e.tid];
+  }
+  EXPECT_EQ(span_tids.size(), 2u);
+  ASSERT_EQ(worker_spans.size(), 2u);
+  for (const auto& [tid, count] : worker_spans) {
+    EXPECT_EQ(count, 2) << "tid " << tid;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Trace, OverflowDropsWholeSpansAndCounts) {

@@ -11,7 +11,6 @@
 #   batch      bench_batch        -> BENCH_batch.json
 #   cache      bench_cache        -> BENCH_cache.json
 #   obs        bench_obs          -> BENCH_obs.json
-#   scaling    bench_scaling      -> BENCH_scaling.json
 #   ladder     bench_ladder       -> BENCH_ladder.json
 #
 # e.g.  tools/run_bench.sh engine build-release --benchmark_filter=BM_DecisionMapSearch
@@ -37,7 +36,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
 suite="engine"
 case "${1:-}" in
-  engine|substrate|batch|cache|obs|scaling|ladder)
+  engine|substrate|batch|cache|obs|ladder)
     suite="$1"
     shift
     ;;
@@ -51,7 +50,6 @@ case "$suite" in
   batch) target="bench_batch" ;;
   cache) target="bench_cache" ;;
   obs) target="bench_obs" ;;
-  scaling) target="bench_scaling" ;;
   ladder) target="bench_ladder" ;;
 esac
 

@@ -30,14 +30,14 @@
 // `decide --trace out.json` records a Chrome trace-event timeline of the
 // run (spans from map searches, pipeline engines and the topology
 // substrate) — open it in chrome://tracing or https://ui.perfetto.dev.
-// `batch --trace-dir DIR` does the same for a whole batch (plus the
-// executor's job spans), writing
+// `batch --trace-dir DIR` does the same for a whole batch (plus one
+// `batch/worker` span per thread and phase), writing
 // DIR/trace.json plus the registry totals as DIR/metrics.json — the
 // metrics file is republished rename-atomically every second during the
 // run, so a killed batch still leaves a valid, near-current snapshot.
 // `trace-stats` turns such a timeline back into numbers: per-span
 // count/total/p50/p99 aggregates, the critical path of the slowest
-// pipeline run, and per-worker executor utilization.
+// pipeline run, and per-thread batch-worker utilization.
 //
 // `decide --metrics FILE` / `batch --metrics FILE` export the metrics
 // registry (counters, gauges, histograms) in Prometheus text exposition
