@@ -234,13 +234,17 @@ namespace {
 struct CornerSearch {
   const Task& task;
   std::vector<VertexId> inputs;                 // input vertices, fixed order
-  std::unordered_map<VertexId, std::size_t, VertexIdHash> input_index;
   std::vector<std::vector<VertexId>> domains;   // Δ(x) vertices per input
-  // Per input edge: the image complex and each image vertex's component id.
+  // Per input edge: its endpoints' input indices, the image complex and
+  // each image vertex's component id.
   struct EdgeInfo {
     Simplex edge;
+    std::size_t a = 0, b = 0;  // input indices of edge[0] and edge[1]
     SimplicialComplex image;
     std::unordered_map<VertexId, int, VertexIdHash> component;
+    /// The image's oriented cycle basis; the homology check fills it on
+    /// first use.
+    std::optional<std::vector<OrientedChain>> cycles;
   };
   std::vector<EdgeInfo> edge_infos;
   // edges_touching[i] = indices into edge_infos of edges whose *second*
@@ -253,6 +257,7 @@ struct CornerSearch {
 
   explicit CornerSearch(const Task& t) : task(t) {
     inputs = task.input.vertex_ids();
+    std::unordered_map<VertexId, std::size_t, VertexIdHash> input_index;
     for (std::size_t i = 0; i < inputs.size(); ++i) input_index.emplace(inputs[i], i);
     for (VertexId x : inputs) {
       domains.push_back(
@@ -261,6 +266,8 @@ struct CornerSearch {
     for (const Simplex& e : task.input.simplices(1)) {
       EdgeInfo info;
       info.edge = e;
+      info.a = input_index.at(e[0]);
+      info.b = input_index.at(e[1]);
       info.image = task.delta.image_complex(e);
       const auto comps = connected_components(info.image);
       for (std::size_t c = 0; c < comps.size(); ++c) {
@@ -270,9 +277,7 @@ struct CornerSearch {
     }
     edges_touching.resize(inputs.size());
     for (std::size_t k = 0; k < edge_infos.size(); ++k) {
-      const Simplex& e = edge_infos[k].edge;
-      const std::size_t i = input_index.at(e[0]), j = input_index.at(e[1]);
-      edges_touching[std::max(i, j)].push_back(k);
+      edges_touching[std::max(edge_infos[k].a, edge_infos[k].b)].push_back(k);
     }
   }
 
@@ -297,10 +302,8 @@ struct CornerSearch {
       bool ok = true;
       for (std::size_t k : edges_touching[i]) {
         const EdgeInfo& info = edge_infos[k];
-        const std::size_t a = input_index.at(info.edge[0]);
-        const std::size_t b = input_index.at(info.edge[1]);
-        const VertexId va = assign[a], vb = assign[b];
-        auto ca = info.component.find(va), cb = info.component.find(vb);
+        auto ca = info.component.find(assign[info.a]);
+        auto cb = info.component.find(assign[info.b]);
         if (ca == info.component.end() || cb == info.component.end() ||
             ca->second != cb->second) {
           ok = false;
@@ -345,17 +348,20 @@ HomologyObstruction homology_boundary_check(const Task& task,
   search.node_cap = node_cap;
   const VertexPool& pool = *task.pool;
 
-  // Pre-compute, per input facet, its boundary edges in cyclic order
-  // (v0→v1, v1→v2, v2→v0), each edge's oriented cycle basis, and the facet
-  // image. The boundary loop is checked over GF(2) *and* GF(3): a loop
-  // extending over the input disk bounds over every field, and GF(3)
-  // catches even-winding ("torsion-type") failures GF(2) is blind to.
+  // Per input facet: its boundary edges in cyclic order (v0→v1, v1→v2,
+  // v2→v0), the facet image, and one span per prime. The boundary loop is
+  // checked over every prime in `primes`: a loop extending over the input
+  // disk bounds over every field, and GF(3) catches even-winding
+  // ("torsion-type") failures GF(2) is blind to.
   struct FacetInfo {
     Simplex facet;
     SimplicialComplex image;
-    // (edge-info index, from-vertex, to-vertex) in coherent cyclic order.
-    std::vector<std::tuple<std::size_t, VertexId, VertexId>> boundary;
-    std::vector<OrientedChain> generators;
+    // (edge-info index, from, to), with from/to as input indices, in
+    // coherent cyclic order.
+    std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> boundary;
+    // spans[i]: the image's triangle boundaries plus the boundary edges'
+    // cycle bases over GF(primes[i]), built on first use.
+    std::vector<std::optional<BoundarySpan>> spans;
   };
   std::vector<FacetInfo> facet_infos;
   // The boundary-loop analysis is specific to 2-dimensional facets (the
@@ -367,18 +373,18 @@ HomologyObstruction homology_boundary_check(const Task& task,
       FacetInfo info;
       info.facet = sigma;
       info.image = task.delta.image_complex(sigma);
+      info.spans.resize(primes.size());
       const std::array<std::pair<VertexId, VertexId>, 3> order{
           std::pair{sigma[0], sigma[1]}, std::pair{sigma[1], sigma[2]},
           std::pair{sigma[2], sigma[0]}};
       for (const auto& [from, to] : order) {
         const Simplex e{from, to};
         for (std::size_t k = 0; k < search.edge_infos.size(); ++k) {
-          if (search.edge_infos[k].edge == e) {
-            info.boundary.emplace_back(k, from, to);
-            for (OrientedChain& c :
-                 oriented_cycle_basis(search.edge_infos[k].image)) {
-              info.generators.push_back(std::move(c));
-            }
+          const auto& einfo = search.edge_infos[k];
+          if (einfo.edge == e) {
+            const bool forward = einfo.edge[0] == from;
+            info.boundary.emplace_back(k, forward ? einfo.a : einfo.b,
+                                       forward ? einfo.b : einfo.a);
           }
         }
       }
@@ -386,30 +392,45 @@ HomologyObstruction homology_boundary_check(const Task& task,
     }
   }
 
+  // Lazy, so no span is built that a loop check never asks for: the work
+  // order stays that of eliminating at each check.
+  auto span = [&](FacetInfo& info, std::size_t i) -> const BoundarySpan& {
+    std::optional<BoundarySpan>& s = info.spans[i];
+    if (!s) {
+      s.emplace(info.image, primes[i]);
+      for (const auto& [k, from, to] : info.boundary) {
+        auto& einfo = search.edge_infos[k];
+        if (!einfo.cycles) einfo.cycles = oriented_cycle_basis(einfo.image);
+        for (const OrientedChain& g : *einfo.cycles) s->add(g);
+      }
+    }
+    return *s;
+  };
+
   std::string last_failure;
   const bool found = search.search([&](const std::vector<VertexId>& assign) {
-    for (const FacetInfo& info : facet_infos) {
+    for (FacetInfo& info : facet_infos) {
       // Boundary loop: corner-to-corner shortest paths inside each edge
       // image, concatenated head-to-tail (any path works; other choices
       // differ by edge-image cycles, which are in the generator span).
       OrientedChain loop;
       for (const auto& [k, from, to] : info.boundary) {
-        const auto& einfo = search.edge_infos[k];
-        const VertexId a = assign[search.input_index.at(from)];
-        const VertexId b = assign[search.input_index.at(to)];
-        auto path = lex_min_shortest_path(einfo.image, a, b);
+        const auto path = lex_min_shortest_path(search.edge_infos[k].image,
+                                                assign[from], assign[to]);
         if (!path.has_value()) return false;  // defensive; CSP ensured this
-        loop = oriented_add(loop, oriented_path_chain(*path));
+        for (std::size_t i = 0; i + 1 < path->size(); ++i) {
+          oriented_add_edge(loop, (*path)[i], (*path)[i + 1]);
+        }
       }
       if (!is_oriented_cycle(loop)) {
         last_failure = "boundary walk of facet " + info.facet.to_string(pool) +
                        " does not close into a cycle";
         return false;
       }
-      for (const long long p : primes) {
-        if (!loop.empty() && !bounds_modulo_p(info.image, loop, info.generators, p)) {
+      for (std::size_t i = 0; i < primes.size(); ++i) {
+        if (!loop.empty() && !span(info, i).contains(loop)) {
           last_failure = "boundary loop of facet " + info.facet.to_string(pool) +
-                         " never bounds over GF(" + std::to_string(p) + ")";
+                         " never bounds over GF(" + std::to_string(primes[i]) + ")";
           return false;
         }
       }
@@ -420,9 +441,14 @@ HomologyObstruction homology_boundary_check(const Task& task,
   result.exhausted = search.exhausted;
   result.nodes_explored = search.nodes_explored;
   if (!found) {
-    result.detail = last_failure.empty()
-                        ? "no corner assignment passes the connectivity CSP"
-                        : last_failure;
+    // A capped search proves nothing, whatever the last rejection was.
+    if (!search.exhausted) {
+      result.detail = "search capped before exhausting assignments";
+    } else if (last_failure.empty()) {
+      result.detail = "no corner assignment passes the connectivity CSP";
+    } else {
+      result.detail = last_failure;
+    }
   }
   return result;
 }

@@ -23,11 +23,11 @@
 //  4. homology_boundary_check — the contractibility-type obstruction: for
 //     every CSP-feasible corner assignment and every input facet σ, the
 //     boundary loop (corner-to-corner paths inside the edge images) must be
-//     null-homologous over GF(2) in Δ(σ), modulo cycles supported in the
-//     edge images. A loop extending over the input disk is null-homotopic,
-//     hence bounds over every coefficient field, so "never bounds" is a
-//     sound impossibility certificate (catches 2-set agreement, pinwheel,
-//     non-contractible loop agreement).
+//     null-homologous over GF(2) and GF(3) in Δ(σ), modulo cycles
+//     supported in the edge images. A loop extending over the input disk is
+//     null-homotopic, hence bounds over every coefficient field, so "never
+//     bounds" is a sound impossibility certificate (catches 2-set
+//     agreement, pinwheel, non-contractible loop agreement).
 //
 // Engines 3 and 4 are most powerful on the *split, link-connected* task T′
 // (Theorem 5.1 reduces solvability of T to colorless solvability of T′);
@@ -79,8 +79,9 @@ struct HomologyObstruction {
 /// `primes`: the coefficient fields the boundary loop is required to bound
 /// over. Any prime yields a sound certificate; {2, 3} (the default) also
 /// catches even-winding failures that GF(2) alone cannot see (see
-/// zoo::twisted_hourglass and the ablation bench). Budget as in
-/// connectivity_csp.
+/// zoo::twisted_hourglass and the ablation bench). Each (facet, prime)
+/// span is reduced once per call, on first use, and reused for every later
+/// corner assignment. Budget as in connectivity_csp.
 HomologyObstruction homology_boundary_check(
     const Task& task, const std::vector<long long>& primes = {2, 3},
     std::size_t node_cap = kDefaultCornerNodeCap);

@@ -1,159 +1,16 @@
 #include "topology/homology.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "topology/graph.h"
 
 namespace trichroma {
-
-namespace {
-
-/// Dense GF(2) matrix with 64-bit packed rows; supports rank computation and
-/// membership-in-column-span queries via incremental row reduction.
-class Gf2Matrix {
- public:
-  Gf2Matrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), words_((cols + 63) / 64),
-        data_(rows * words_, 0) {}
-
-  void set(std::size_t r, std::size_t c) {
-    data_[r * words_ + c / 64] |= (std::uint64_t{1} << (c % 64));
-  }
-
-  /// Rank via Gaussian elimination (destructive on a copy).
-  std::size_t rank() const {
-    std::vector<std::vector<std::uint64_t>> rows;
-    rows.reserve(rows_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      rows.emplace_back(data_.begin() + static_cast<long>(r * words_),
-                        data_.begin() + static_cast<long>((r + 1) * words_));
-    }
-    std::size_t rank = 0;
-    for (std::size_t c = 0; c < cols_ && rank < rows.size(); ++c) {
-      const std::size_t w = c / 64;
-      const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-      std::size_t pivot = rank;
-      while (pivot < rows.size() && (rows[pivot][w] & bit) == 0) ++pivot;
-      if (pivot == rows.size()) continue;
-      std::swap(rows[rank], rows[pivot]);
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        if (r != rank && (rows[r][w] & bit)) {
-          for (std::size_t k = 0; k < words_; ++k) rows[r][k] ^= rows[rank][k];
-        }
-      }
-      ++rank;
-    }
-    return rank;
-  }
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::vector<std::uint64_t> row(std::size_t r) const {
-    return {data_.begin() + static_cast<long>(r * words_),
-            data_.begin() + static_cast<long>((r + 1) * words_)};
-  }
-
- private:
-  std::size_t rows_, cols_, words_;
-  std::vector<std::uint64_t> data_;
-};
-
-/// Row-echelon basis over GF(2); supports adding vectors and testing
-/// membership in the span.
-class Gf2Span {
- public:
-  explicit Gf2Span(std::size_t dim) : words_((dim + 63) / 64) {}
-
-  /// Reduces `v` against the basis; if nonzero remains, adds it and returns
-  /// true (dimension grew).
-  bool add(std::vector<std::uint64_t> v) {
-    reduce(v);
-    if (is_zero(v)) return false;
-    basis_.push_back(std::move(v));
-    normalize_last();
-    return true;
-  }
-
-  bool contains(std::vector<std::uint64_t> v) const {
-    reduce(v);
-    return is_zero(v);
-  }
-
- private:
-  static bool is_zero(const std::vector<std::uint64_t>& v) {
-    for (std::uint64_t w : v)
-      if (w != 0) return false;
-    return true;
-  }
-
-  static int leading_bit(const std::vector<std::uint64_t>& v) {
-    for (std::size_t w = 0; w < v.size(); ++w) {
-      if (v[w] != 0) {
-        return static_cast<int>(w * 64 + static_cast<std::size_t>(__builtin_ctzll(v[w])));
-      }
-    }
-    return -1;
-  }
-
-  void reduce(std::vector<std::uint64_t>& v) const {
-    for (const auto& b : basis_) {
-      const int lb = leading_bit(b);
-      if (lb >= 0 && (v[static_cast<std::size_t>(lb) / 64] &
-                      (std::uint64_t{1} << (lb % 64)))) {
-        for (std::size_t k = 0; k < v.size(); ++k) v[k] ^= b[k];
-      }
-    }
-  }
-
-  void normalize_last() {
-    // Keep basis rows mutually reduced for a canonical echelon form.
-    auto& last = basis_.back();
-    for (std::size_t i = 0; i + 1 < basis_.size(); ++i) {
-      const int lb = leading_bit(last);
-      if (lb >= 0 && (basis_[i][static_cast<std::size_t>(lb) / 64] &
-                      (std::uint64_t{1} << (lb % 64)))) {
-        for (std::size_t k = 0; k < last.size(); ++k) basis_[i][k] ^= last[k];
-      }
-    }
-  }
-
-  std::size_t words_;
-  std::vector<std::vector<std::uint64_t>> basis_;
-};
-
-/// Index mapping for the d-simplices of a complex.
-struct SimplexIndex {
-  std::vector<Simplex> list;
-  std::unordered_map<Simplex, std::size_t, SimplexHash> at;
-
-  explicit SimplexIndex(const SimplicialComplex& k, int d) : list(k.simplices(d)) {
-    for (std::size_t i = 0; i < list.size(); ++i) at.emplace(list[i], i);
-  }
-};
-
-Gf2Matrix boundary_matrix(const SimplexIndex& lower, const SimplexIndex& upper) {
-  Gf2Matrix m(lower.list.size(), upper.list.size());
-  for (std::size_t c = 0; c < upper.list.size(); ++c) {
-    for (const Simplex& face : upper.list[c].boundary_faces()) {
-      m.set(lower.at.at(face), c);
-    }
-  }
-  return m;
-}
-
-std::vector<std::uint64_t> chain_to_bits(const Chain& c, const SimplexIndex& idx) {
-  std::vector<std::uint64_t> bits((idx.list.size() + 63) / 64, 0);
-  for (const Simplex& s : c) {
-    const std::size_t i = idx.at.at(s);
-    bits[i / 64] ^= (std::uint64_t{1} << (i % 64));
-  }
-  return bits;
-}
-
-}  // namespace
 
 Chain chain_add(const Chain& a, const Chain& b) {
   // Multiset symmetric difference with GF(2) cancellation.
@@ -201,16 +58,15 @@ Chain loop_to_chain(const std::vector<VertexId>& closed_path) {
 }
 
 BettiNumbers betti_numbers(const SimplicialComplex& k) {
+  // Over any field rank ∂1 = V - b0; rank ∂2 is the span of the triangle
+  // boundaries.
   BettiNumbers out;
   if (k.empty()) return out;
-  const SimplexIndex v0(k, 0), v1(k, 1), v2(k, 2);
-  const std::size_t rank_d1 =
-      v1.list.empty() ? 0 : boundary_matrix(v0, v1).rank();
-  const std::size_t rank_d2 =
-      v2.list.empty() ? 0 : boundary_matrix(v1, v2).rank();
-  out.b0 = static_cast<long long>(v0.list.size() - rank_d1);
-  out.b1 = static_cast<long long>(v1.list.size() - rank_d1 - rank_d2);
-  out.b2 = static_cast<long long>(v2.list.size() - rank_d2);
+  const auto rank_d2 = static_cast<long long>(BoundarySpan(k, 2).rank());
+  out.b0 = static_cast<long long>(component_count(k));
+  const long long rank_d1 = static_cast<long long>(k.count(0)) - out.b0;
+  out.b1 = static_cast<long long>(k.count(1)) - rank_d1 - rank_d2;
+  out.b2 = static_cast<long long>(k.count(2)) - rank_d2;
   return out;
 }
 
@@ -221,25 +77,15 @@ bool bounds_in(const SimplicialComplex& k, const Chain& cycle) {
 bool bounds_modulo(const SimplicialComplex& k, const Chain& cycle,
                    const std::vector<Chain>& generators) {
   assert(is_one_cycle(cycle));
-  const SimplexIndex v1(k, 1), v2(k, 2);
-  for (const Simplex& e : cycle) {
-    if (v1.at.count(e) == 0) return false;  // cycle leaves the complex
-  }
-  Gf2Span span(v1.list.size());
-  // Span of ∂2 columns (the boundary space B1)...
-  for (const Simplex& t : v2.list) {
-    Chain b;
-    for (const Simplex& f : t.boundary_faces()) b.push_back(f);
-    span.add(chain_to_bits(b, v1));
-  }
-  // ... plus the allowed adjustment generators.
-  for (const Chain& g : generators) {
-    for (const Simplex& e : g) {
-      if (v1.at.count(e) == 0) return false;
-    }
-    span.add(chain_to_bits(g, v1));
-  }
-  return span.contains(chain_to_bits(cycle, v1));
+  // Over GF(2) orientation does not matter: give every edge coefficient 1.
+  auto unit = [](const Chain& c) {
+    OrientedChain out;
+    for (const Simplex& s : c) out.emplace(s, 1);
+    return out;
+  };
+  std::vector<OrientedChain> oriented;
+  for (const Chain& g : generators) oriented.push_back(unit(g));
+  return bounds_modulo_p(k, unit(cycle), oriented, 2);
 }
 
 std::vector<Chain> cycle_basis(const SimplicialComplex& k) {
@@ -323,20 +169,6 @@ OrientedChain oriented_path_chain(const std::vector<VertexId>& path) {
   return chain;
 }
 
-OrientedChain oriented_add(const OrientedChain& a, const OrientedChain& b) {
-  OrientedChain out = a;
-  for (const auto& [edge, coeff] : b) {
-    auto it = out.find(edge);
-    if (it == out.end()) {
-      out.emplace(edge, coeff);
-    } else {
-      it->second += coeff;
-      if (it->second == 0) out.erase(it);
-    }
-  }
-  return out;
-}
-
 bool is_oriented_cycle(const OrientedChain& c) {
   std::unordered_map<VertexId, long long, VertexIdHash> boundary;
   for (const auto& [edge, coeff] : c) {
@@ -353,93 +185,121 @@ bool is_oriented_cycle(const OrientedChain& c) {
 
 namespace {
 
-long long mod_p(long long x, long long p) {
-  const long long r = x % p;
-  return r < 0 ? r + p : r;
+/// Packed key of the edge {a, b}: the smaller raw id in the high word, so
+/// sorted keys order edges lexicographically.
+std::uint64_t edge_key(VertexId a, VertexId b) {
+  const std::uint64_t x = raw(a), y = raw(b);
+  return x < y ? (x << 32) | y : (y << 32) | x;
 }
 
-long long mod_inverse(long long a, long long p) {
+std::uint32_t mod_inverse(std::uint32_t a, std::uint32_t p) {
   // Fermat: p is prime and a != 0 mod p.
-  long long result = 1, base = mod_p(a, p), exp = p - 2;
-  while (exp > 0) {
-    if (exp & 1) result = (result * base) % p;
-    base = (base * base) % p;
-    exp >>= 1;
+  std::uint64_t result = 1, base = a;
+  for (std::uint32_t exp = p - 2; exp > 0; exp >>= 1) {
+    if (exp & 1) result = result * base % p;
+    base = base * base % p;
   }
-  return result;
+  return static_cast<std::uint32_t>(result);
 }
 
 }  // namespace
 
+BoundarySpan::BoundarySpan(const SimplicialComplex& k, long long p)
+    : p_(static_cast<std::uint32_t>(p)) {
+  if (p < 2 || p > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("BoundarySpan: p must be a prime below 2^32");
+  }
+  std::vector<std::array<VertexId, 3>> triangles;
+  k.for_each([&](const Simplex& s) {
+    if (s.size() == 2) edges_.push_back(edge_key(s[0], s[1]));
+    if (s.size() == 3) triangles.push_back({s[0], s[1], s[2]});
+  });
+  std::sort(edges_.begin(), edges_.end());
+  std::sort(triangles.begin(), triangles.end());
+  pivot_.assign(edges_.size(), -1);
+  for (const auto& [a, b, c] : triangles) {
+    // ∂{a,b,c} = (a,b) - (a,c) + (b,c) for a < b < c, in ascending row order.
+    insert({{row(a, b), 1}, {row(a, c), p_ - 1}, {row(b, c), 1}});
+  }
+}
+
+void BoundarySpan::add(const OrientedChain& generator) {
+  Column v;
+  if (to_column(generator, v)) {
+    insert(std::move(v));
+  } else {
+    leaves_ = true;
+  }
+}
+
+bool BoundarySpan::contains(const OrientedChain& chain) const {
+  Column v;
+  if (leaves_ || !to_column(chain, v)) return false;
+  reduce(v);
+  return v.empty();
+}
+
+std::uint32_t BoundarySpan::row(VertexId a, VertexId b) const {
+  const std::uint64_t key = edge_key(a, b);
+  const auto it = std::lower_bound(edges_.begin(), edges_.end(), key);
+  return it != edges_.end() && *it == key
+             ? static_cast<std::uint32_t>(it - edges_.begin())
+             : kNoRow;
+}
+
+bool BoundarySpan::to_column(const OrientedChain& c, Column& out) const {
+  for (const auto& [edge, coeff] : c) {
+    const std::uint32_t r = edge.size() == 2 ? row(edge[0], edge[1]) : kNoRow;
+    if (r == kNoRow) return false;  // the chain leaves the complex
+    const long long m = coeff % static_cast<long long>(p_);
+    if (m != 0) out.push_back({r, static_cast<std::uint32_t>(m < 0 ? m + p_ : m)});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Entry& x, const Entry& y) { return x.row < y.row; });
+  return true;
+}
+
+void BoundarySpan::reduce(Column& v) const {
+  Column sum;
+  while (!v.empty()) {
+    const std::int32_t j = pivot_[v.back().row];
+    if (j < 0) return;
+    // v -= v.back().coeff · column j, whose pivot coefficient is 1: a merge
+    // of two row-sorted columns that cancels v's last row.
+    const Column& col = columns_[static_cast<std::size_t>(j)];
+    const std::uint64_t f = p_ - v.back().coeff;
+    sum.clear();
+    std::size_t x = 0, y = 0;
+    while (x < v.size() || y < col.size()) {
+      if (y == col.size() || (x < v.size() && v[x].row < col[y].row)) {
+        sum.push_back(v[x++]);
+        continue;
+      }
+      const bool both = x < v.size() && v[x].row == col[y].row;
+      const auto m = static_cast<std::uint32_t>(
+          ((both ? v[x].coeff : 0) + f * col[y].coeff) % p_);
+      if (m != 0) sum.push_back({col[y].row, m});
+      x += both ? 1 : 0;
+      ++y;
+    }
+    v.swap(sum);
+  }
+}
+
+void BoundarySpan::insert(Column v) {
+  reduce(v);
+  if (v.empty()) return;
+  const std::uint64_t inv = mod_inverse(v.back().coeff, p_);
+  for (Entry& e : v) e.coeff = static_cast<std::uint32_t>(e.coeff * inv % p_);
+  pivot_[v.back().row] = static_cast<std::int32_t>(columns_.size());
+  columns_.push_back(std::move(v));
+}
+
 bool bounds_modulo_p(const SimplicialComplex& k, const OrientedChain& cycle,
                      const std::vector<OrientedChain>& generators, long long p) {
-  // Index the edges of k.
-  const std::vector<Simplex> edges = k.simplices(1);
-  std::unordered_map<Simplex, std::size_t, SimplexHash> edge_index;
-  for (std::size_t i = 0; i < edges.size(); ++i) edge_index.emplace(edges[i], i);
-  const std::size_t n = edges.size();
-
-  auto to_vector = [&](const OrientedChain& c,
-                       std::vector<long long>& out) -> bool {
-    out.assign(n, 0);
-    for (const auto& [edge, coeff] : c) {
-      auto it = edge_index.find(edge);
-      if (it == edge_index.end()) return false;  // chain leaves the complex
-      out[it->second] = mod_p(coeff, p);
-    }
-    return true;
-  };
-
-  // Span basis (row echelon over GF(p)) of ∂2-columns plus generators.
-  std::vector<std::vector<long long>> basis;
-  std::vector<std::size_t> pivot_of;  // pivot column per basis row
-  auto reduce = [&](std::vector<long long>& v) {
-    for (std::size_t r = 0; r < basis.size(); ++r) {
-      const std::size_t piv = pivot_of[r];
-      if (v[piv] != 0) {
-        const long long factor = v[piv];
-        for (std::size_t j = 0; j < n; ++j) {
-          v[j] = mod_p(v[j] - factor * basis[r][j], p);
-        }
-      }
-    }
-  };
-  auto add_to_span = [&](std::vector<long long> v) {
-    reduce(v);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (v[j] != 0) {
-        const long long inv = mod_inverse(v[j], p);
-        for (std::size_t i = 0; i < n; ++i) v[i] = (v[i] * inv) % p;
-        basis.push_back(std::move(v));
-        pivot_of.push_back(j);
-        return;
-      }
-    }
-  };
-
-  for (const Simplex& t : k.simplices(2)) {
-    // ∂{a,b,c} = (b,c) - (a,c) + (a,b) with a < b < c.
-    OrientedChain b;
-    oriented_add_edge(b, t[1], t[2], 1);
-    oriented_add_edge(b, t[0], t[2], -1);
-    oriented_add_edge(b, t[0], t[1], 1);
-    std::vector<long long> v;
-    if (!to_vector(b, v)) return false;
-    add_to_span(std::move(v));
-  }
-  for (const OrientedChain& g : generators) {
-    std::vector<long long> v;
-    if (!to_vector(g, v)) return false;
-    add_to_span(std::move(v));
-  }
-
-  std::vector<long long> target;
-  if (!to_vector(cycle, target)) return false;
-  reduce(target);
-  for (long long x : target) {
-    if (x != 0) return false;
-  }
-  return true;
+  BoundarySpan span(k, p);
+  for (const OrientedChain& g : generators) span.add(g);
+  return span.contains(cycle);
 }
 
 std::vector<OrientedChain> oriented_cycle_basis(const SimplicialComplex& k) {

@@ -1,5 +1,5 @@
 #pragma once
-// Simplicial homology over GF(2) for low-dimensional complexes.
+// Simplicial homology over GF(p) for low-dimensional complexes.
 //
 // Used for two purposes in this reproduction:
 //  1. Diagnostic reporting of output-complex shape (Betti numbers b0/b1/b2)
@@ -11,7 +11,9 @@
 //     agreement). A loop extending over the input disk must bound over any
 //     coefficient field, so "never bounds over GF(2)" certifies impossibility.
 
+#include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "topology/complex.h"
@@ -85,11 +87,51 @@ void oriented_add_edge(OrientedChain& chain, VertexId from, VertexId to,
 /// The oriented chain traced by walking `path` (consecutive vertices).
 OrientedChain oriented_path_chain(const std::vector<VertexId>& path);
 
-/// Sum of two oriented chains.
-OrientedChain oriented_add(const OrientedChain& a, const OrientedChain& b);
-
 /// True iff the chain's boundary (over Z) vanishes.
 bool is_oriented_cycle(const OrientedChain& c);
+
+/// The span over GF(p) of the triangle boundaries of a complex plus any
+/// added generator cycles: the one elimination routine behind
+/// betti_numbers and the bounds_* queries. Edges are rows, indexed by their
+/// packed vertex ids; each added chain is reduced once into a sparse column
+/// whose pivot (last row) no other column shares, so a membership query
+/// costs one reduction of the query chain. Coefficients refer to the
+/// small→large orientation. Not thread-safe to mutate; const queries are.
+class BoundarySpan {
+ public:
+  /// Reduces the boundaries of the triangles of `k` over GF(p), p prime.
+  BoundarySpan(const SimplicialComplex& k, long long p);
+
+  /// Adds `generator` to the span. A generator that leaves the complex makes
+  /// every later contains() false, as in bounds_modulo_p.
+  void add(const OrientedChain& generator);
+
+  /// True iff `chain` lies in the span (false if it leaves the complex).
+  bool contains(const OrientedChain& chain) const;
+
+  /// Dimension of the span: rank ∂2 until a generator is added.
+  std::size_t rank() const { return columns_.size(); }
+
+ private:
+  struct Entry {
+    std::uint32_t row;
+    std::uint32_t coeff;  // in [1, p)
+  };
+  using Column = std::vector<Entry>;  // sorted by row
+  static constexpr std::uint32_t kNoRow = 0xffffffffu;
+
+  std::uint32_t row(VertexId a, VertexId b) const;
+  bool to_column(const OrientedChain& c, Column& out) const;
+  /// Reduces `v` until it is zero or its last row is no column's pivot.
+  void reduce(Column& v) const;
+  void insert(Column v);
+
+  std::uint32_t p_;
+  std::vector<std::uint64_t> edges_;  // packed edge keys, sorted: row order
+  std::vector<std::int32_t> pivot_;   // row → column it is the pivot of, or -1
+  std::vector<Column> columns_;
+  bool leaves_ = false;
+};
 
 /// Decides whether `cycle` lies, modulo the prime `p`, in the span of the
 /// 2-simplex boundaries of `k` plus the given generator cycles. Sound

@@ -1,5 +1,5 @@
 // Tests for the impossibility engines: Corollaries 5.5 / 5.6, the
-// connectivity CSP, and the GF(2) homological boundary obstruction.
+// connectivity CSP, and the GF(2)/GF(3) homological boundary obstruction.
 
 #include <gtest/gtest.h>
 
@@ -129,6 +129,17 @@ TEST(Homology, InfeasibleOnHollowLoopAgreement) {
   const HomologyObstruction h =
       homology_boundary_check(zoo::loop_agreement_hollow_triangle());
   EXPECT_FALSE(h.feasible);
+}
+
+TEST(Homology, CappedSearchReportsNoRefutation) {
+  // A search cut short by its node cap proves nothing, so its detail must
+  // not read as a refutation (as "no corner assignment passes" or "never
+  // bounds" would).
+  const HomologyObstruction h =
+      homology_boundary_check(zoo::loop_agreement_hollow_triangle(), {2, 3}, 1);
+  EXPECT_FALSE(h.feasible);
+  EXPECT_FALSE(h.exhausted);
+  EXPECT_EQ(h.detail, "search capped before exhausting assignments");
 }
 
 TEST(Homology, FeasibleOnFilledLoopAgreement) {

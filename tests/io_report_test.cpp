@@ -1,5 +1,5 @@
-// The JSON pipeline report: schema stability (a checked-in golden file for
-// the hourglass run) and the basic emitter invariants.
+// The JSON pipeline report: schema stability (checked-in golden files for
+// the hourglass and loop_torus runs) and the basic emitter invariants.
 
 #include <fstream>
 #include <sstream>
@@ -25,11 +25,15 @@ std::string read_golden(const std::string& name) {
 
 TEST(Report, HourglassGoldenFile) {
   // The whole report is deterministic (engine statuses and node counts
-  // included); redacting timings makes it byte-stable.
-  const PipelineResult r = run_pipeline(zoo::hourglass());
+  // included); redacting timings makes it byte-stable. The hourglass is
+  // refuted before the homology engine runs; loop_torus reaches it, so its
+  // report pins the Betti numbers and the engine's detail and node count.
   io::ReportJsonOptions json;
   json.redact_timings = true;
-  EXPECT_EQ(io::to_json(r.report, json), read_golden("hourglass_report.json"));
+  EXPECT_EQ(io::to_json(run_pipeline(zoo::hourglass()).report, json),
+            read_golden("hourglass_report.json"));
+  EXPECT_EQ(io::to_json(run_pipeline(zoo::loop_agreement_torus()).report, json),
+            read_golden("loop_torus_report.json"));
 }
 
 TEST(Report, SchemaFieldsPresentForEveryVerdictShape) {
