@@ -14,11 +14,11 @@ std::vector<LapRecord> find_laps(const Task& task, const Simplex& sigma) {
       obs::MetricsRegistry::global().counter("topology.lap_scans");
   scans.add();
   std::vector<LapRecord> out;
-  // One compiled snapshot per image; the per-vertex scans then run over the
-  // link bitmasks instead of materializing a SimplicialComplex link each.
-  // Locals are in raw-id order, so the records come out in vertex-id order
-  // exactly as the hash-set implementation produced them.
-  const auto image = CompiledComplex::compile(task.delta.image_complex(sigma));
+  // One compiled Δ(σ), from its facet list; the per-vertex scans then run
+  // over the link bitmasks instead of materializing a SimplicialComplex
+  // link each. Locals are in raw-id order, so the records come out in
+  // vertex-id order.
+  const auto image = CompiledComplex::of_facets(task.delta.facet_images(sigma));
   const auto nv = static_cast<CompiledComplex::Local>(image->num_vertices());
   for (CompiledComplex::Local y = 0; y < nv; ++y) {
     if (image->link_empty(y)) continue;

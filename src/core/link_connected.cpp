@@ -54,6 +54,8 @@ LinkConnectedResult make_link_connected(const Task& canonical_task) {
     }
     assert(task.is_link_connected(sigma));
   }
+  // The splits rewrote only Δ; O′ is the union of its images.
+  if (!result.history.empty()) task.output = task.delta.reachable_output(task.input);
   return result;
 }
 

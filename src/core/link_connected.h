@@ -27,7 +27,8 @@ struct LinkConnectedResult {
 /// Applies Theorem 4.3 to a *canonical* task: repeatedly eliminates LAPs
 /// until the task is link-connected. Deterministic: facets in sorted order,
 /// within a facet the smallest LAP vertex first. Each facet is scanned for
-/// LAPs once, and every split edits the task in place (split_lap_in_place).
+/// LAPs once, every split rewrites Δ in place (split_lap_in_place), and O′
+/// is derived from the final Δ′ once, after the last split.
 LinkConnectedResult make_link_connected(const Task& canonical_task);
 
 /// Maps an output vertex of the split task back to the output vertex of the

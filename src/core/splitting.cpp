@@ -135,16 +135,7 @@ std::vector<VertexId> split_lap_in_place(Task& task, const LapRecord& lap) {
     for (VertexId yi : allowed) row.images.push_back(Simplex::single(yi));
   }
 
-  // O is the reachable part of Δ, so y's star is exactly the faces through y
-  // of the old images, and every other simplex of O stays a face of some
-  // new image: swapping the star for the rewired images rebuilds O.
-  task.output.remove_with_cofaces(Simplex::single(y));
-  for (Row& row : rows) {
-    for (const Simplex& im : row.images) {
-      if (std::any_of(im.begin(), im.end(), is_copy)) task.output.add(im);
-    }
-    task.delta.set(row.tau, std::move(row.images));
-  }
+  for (Row& row : rows) task.delta.set(row.tau, std::move(row.images));
   task.name += "/split(" + pool.name(y) + ")";
   return copies;
 }
@@ -152,6 +143,7 @@ std::vector<VertexId> split_lap_in_place(Task& task, const LapRecord& lap) {
 SplitResult split_lap(const Task& task, const LapRecord& lap) {
   SplitResult result{task, lap.vertex, {}};
   result.copies = split_lap_in_place(result.task, lap);
+  result.task.output = result.task.delta.reachable_output(result.task.input);
   return result;
 }
 

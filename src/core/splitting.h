@@ -16,11 +16,14 @@
 //    (all y_i), since the task being canonical guarantees ρ ∉ Δ(σ).
 //
 // The split is local to the star of y: only the Δ rows whose images
-// contain y change, and in O only y's star is swapped for the rewired
-// facets. split_lap_in_place edits exactly that much; split_lap is the
-// copying form. Lemma 4.1: the split strictly decreases the number of LAPs
-// w.r.t. σ and never creates LAPs w.r.t. facets that had none. Lemma 4.2:
-// it preserves solvability in both directions. Both are verified by tests.
+// contain y change, and split_lap_in_place rewrites exactly those rows.
+// O_y is the union of the rewired images, a function of Δ_y, so the
+// in-place split leaves O to its caller: make_link_connected derives O′
+// once after its last split, and split_lap, the copying form, derives it
+// for its one split. Lemma 4.1: the split strictly decreases the number of
+// LAPs w.r.t. σ and never creates LAPs w.r.t. facets that had none.
+// Lemma 4.2: it preserves solvability in both directions. Both are
+// verified by tests.
 
 #include <vector>
 
@@ -35,14 +38,17 @@ struct SplitResult {
   std::vector<VertexId> copies;  ///< y_1, ..., y_r in component order
 };
 
-/// Turns `task` into T_y for `lap` in place and returns the copies
-/// y_1, ..., y_r in component order. Preconditions: `task` is canonical
-/// (Task::is_canonical()), its output complex is the reachable part of Δ,
-/// and `lap.link_components` are the current components of lk_{Δ(σ)}(y),
-/// ordered as find_laps reports them.
+/// Rewrites Δ and the name of `task` into those of T_y for `lap`, in
+/// place, and returns the copies y_1, ..., y_r in component order.
+/// `task.output` is left as it was: setting it to
+/// `task.delta.reachable_output(task.input)` is the caller's job, once
+/// after the last split. Preconditions: `task` is canonical
+/// (Task::is_canonical()) and `lap.link_components` are the current
+/// components of lk_{Δ(σ)}(y), ordered as find_laps reports them.
 std::vector<VertexId> split_lap_in_place(Task& task, const LapRecord& lap);
 
-/// Copies `task`, then applies split_lap_in_place to the copy.
+/// Copies `task`, applies split_lap_in_place to the copy and derives the
+/// copy's output complex from its Δ.
 SplitResult split_lap(const Task& task, const LapRecord& lap);
 
 /// Interns the i-th split copy (1-based) of `y`: (color(y), ("split", raw(y), i)).

@@ -923,6 +923,7 @@ bool load_ladder_levels(const Task& task, const CanonicalLabeling& labeling,
           facets == 0 || facets > 50'000'000) {
         return false;
       }
+      CompiledComplex::Builder builder;
       for (std::size_t f = 0; f < facets; ++f) {
         line = next();
         if (line == nullptr || line->size() < 2 || (*line)[0] != 'f' ||
@@ -936,9 +937,14 @@ bool load_ladder_levels(const Task& task, const CanonicalLabeling& labeling,
         for (const int ord : ords) {
           fv.push_back(ids[static_cast<std::size_t>(ord)]);
         }
-        level.complex.add(Simplex(std::move(fv)));
+        const Simplex facet(std::move(fv));
+        builder.add(facet);
+        level.complex.add(facet);
       }
-      level.compiled = CompiledComplex::compile(level.complex);
+      level.compiled = builder.finish();
+#ifndef NDEBUG
+      level.compiled->debug_verify_against(level.complex);
+#endif
       out->push_back(std::move(level));
       prev_ids = std::move(ids);
     }

@@ -111,7 +111,7 @@ const CompiledComplex* DeltaImageCache::image_of(const CarrierMap& delta,
   }
   ++misses_;
   image_miss_counter().add();
-  auto owned = CompiledComplex::compile(delta.image_complex(carrier));
+  auto owned = CompiledComplex::of_facets(delta.facet_images(carrier));
   const CompiledComplex* ptr = owned.get();
   image_vertices_histogram().record(ptr->num_vertices());
   cache_.emplace(carrier, std::move(owned));
@@ -121,9 +121,7 @@ const CompiledComplex* DeltaImageCache::image_of(const CarrierMap& delta,
 void DeltaImageCache::preload(const Simplex& carrier,
                               const std::vector<Simplex>& facets) {
   if (cache_.count(carrier) != 0) return;
-  SimplicialComplex image;
-  for (const Simplex& f : facets) image.add(f);
-  cache_.emplace(carrier, CompiledComplex::compile(image));
+  cache_.emplace(carrier, CompiledComplex::of_facets(facets));
   warm_.insert(carrier);
 }
 
@@ -133,7 +131,7 @@ void DeltaImageCache::populate(const CarrierMap& delta,
   for (const Simplex& c : carriers) {
     if (c.empty() || cache_.count(c) != 0) continue;
     // Warm marking keeps the hit/miss accounting as-if-cold (see image_of).
-    cache_.emplace(c, CompiledComplex::compile(delta.image_complex(c)));
+    cache_.emplace(c, CompiledComplex::of_facets(delta.facet_images(c)));
     warm_.insert(c);
   }
 }
@@ -219,7 +217,6 @@ const DeltaImageCache::TriTables* DeltaImageCache::tri_tables(
     const std::array<std::uint32_t, 3>& n) {
   auto it = tris_.find(key);
   if (it != tris_.end()) {
-    ++tri_hits_;
     tri_hit_counter().add();
     return &it->second;
   }
@@ -397,7 +394,7 @@ Csp build_csp(const VertexPool& pool, const SubdividedComplex& domain,
   // The compiled snapshot's locals are in raw-id order — identical to the
   // sorted vertex_ids() order the hash-set path used — so variable indices,
   // candidate lists, and therefore the whole search trace are unchanged.
-  csp.snapshot = domain.compiled_view();
+  csp.snapshot = domain.compiled;
   const CompiledComplex& dc = *csp.snapshot;
   csp.dc = &dc;
   csp.n = dc.num_vertices();

@@ -34,17 +34,17 @@
 namespace trichroma {
 
 /// Memo of Δ-image complexes keyed by carrier simplex, shared across
-/// `find_decision_map` calls. Building the CSP materializes
-/// `delta.image_complex(carrier)` for every subdivision vertex/edge/triangle
-/// carrier; the distinct carriers are simplices of the *base* complex, so
-/// the same handful of images is rebuilt at every radius and again for each
-/// probe mode (chromatic / color-agnostic share Δ). Images are interned as
-/// *compiled* snapshots (topology/compiled.h): candidate enumeration walks
-/// the dense vertex table and the constraint compilers answer membership
-/// from the flat edge/triangle tables instead of hashing Simplex keys. One
-/// cache per carrier map: keys are input simplices, so reusing a cache
-/// across different Δs would alias. Returned pointers stay valid for the
-/// cache's lifetime.
+/// `find_decision_map` calls. Building the CSP needs Δ(carrier) for every
+/// subdivision vertex/edge/triangle carrier; the distinct carriers are
+/// simplices of the *base* complex, so the same handful of images recurs at
+/// every radius and again for each probe mode (chromatic / color-agnostic
+/// share Δ). Images are interned as *compiled* snapshots built from
+/// `delta.facet_images(carrier)` (topology/compiled.h): candidate
+/// enumeration walks the dense vertex table and the constraint compilers
+/// answer membership from the flat edge/triangle tables instead of hashing
+/// Simplex keys. One cache per carrier map: keys are input simplices, so
+/// reusing a cache across different Δs would alias. Returned pointers stay
+/// valid for the cache's lifetime.
 ///
 /// The cache also memoizes the *constraint tables* derived from the images.
 /// A CSP variable's candidate list is fully determined by
@@ -86,9 +86,8 @@ class DeltaImageCache {
   /// marked *warm*: its first `image_of` lookup still counts as a miss, so
   /// hit/miss counters — which feed deterministic reports — match a cold
   /// run's exactly. No-op if the carrier is already cached. The facets must
-  /// be exactly `delta.facet_images(carrier)` for the cache's carrier map;
-  /// `image_complex` is their closure, so the compiled snapshots are
-  /// content-identical.
+  /// be exactly `delta.facet_images(carrier)` for the cache's carrier map,
+  /// so the entry equals the one `image_of` would compile.
   void preload(const Simplex& carrier, const std::vector<Simplex>& facets);
 
   /// Warm entries not yet touched by `image_of` (0 after any full search).
@@ -159,8 +158,6 @@ class DeltaImageCache {
   const TriTables* tri_tables(const TriClass& key,
                               const std::array<const VertexId*, 3>& vals,
                               const std::array<std::uint32_t, 3>& n);
-  std::size_t tri_table_hits() const { return tri_hits_; }
-  std::size_t tri_table_misses() const { return tris_.size(); }
 
  private:
   struct EdgeClassHash {
@@ -182,7 +179,6 @@ class DeltaImageCache {
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   mutable std::size_t mask_hits_ = 0;
-  mutable std::size_t tri_hits_ = 0;
 };
 
 struct MapSearchOptions {

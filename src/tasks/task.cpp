@@ -79,7 +79,7 @@ bool Task::is_link_connected() const {
 }
 
 bool Task::is_link_connected(const Simplex& sigma) const {
-  const auto image = CompiledComplex::compile(delta.image_complex(sigma));
+  const auto image = CompiledComplex::of_facets(delta.facet_images(sigma));
   const auto nv = static_cast<CompiledComplex::Local>(image->num_vertices());
   for (CompiledComplex::Local y = 0; y < nv; ++y) {
     if (!image->link_empty(y) && !image->link_connected(y)) return false;
@@ -149,15 +149,6 @@ Task clone_task(const Task& task) {
   out.input = task.input;
   out.output = task.output;
   out.delta = task.delta;
-  return out;
-}
-
-std::vector<VertexId> preimage_vertices(const Task& task, VertexId y) {
-  std::vector<VertexId> out;
-  for (VertexId x : task.input.vertex_ids()) {
-    const SimplicialComplex image = task.delta.image_complex(Simplex::single(x));
-    if (image.contains_vertex(y)) out.push_back(x);
-  }
   return out;
 }
 

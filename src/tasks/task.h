@@ -32,9 +32,6 @@ struct Task {
   /// which the splitting deformation introduces (see CarrierMap::validate).
   std::vector<std::string> validate(bool relax_vertex_monotonicity = false) const;
 
-  /// Convenience: true iff validate() reports nothing.
-  bool is_valid() const { return validate().empty(); }
-
   /// True iff Δ is one-to-one in the sense of Section 3 of the paper: every
   /// output simplex is a facet image of at most one input simplex. Images of
   /// distinct input simplices may still share lower-dimensional faces.
@@ -50,9 +47,6 @@ struct Task {
   /// Human-readable structural summary.
   std::string summary() const;
 };
-
-/// The input vertices whose Δ-image contains output vertex `y`.
-std::vector<VertexId> preimage_vertices(const Task& task, VertexId y);
 
 /// Deep copy of `task` into a fresh VertexPool, preserving every id: the
 /// source pool's values and vertices are replayed into the new pool in id

@@ -21,34 +21,19 @@ constexpr std::uint64_t pack(std::uint32_t a, std::uint32_t b) {
 // Builder
 // ---------------------------------------------------------------------------
 
-void CompiledComplex::Builder::add_closed(const Simplex& s) {
-  const auto& v = s.vertices();
-  switch (v.size()) {
-    case 0:
-      return;
-    case 1:
-      verts_.push_back(raw(v[0]));
-      return;
-    case 2:
-      edges_.push_back(pack(raw(v[0]), raw(v[1])));
-      return;
-    case 3:
-      tris_.push_back({raw(v[0]), raw(v[1]), raw(v[2])});
-      return;
-    default: {
-      const auto d = v.size() - 1;
-      if (high_.size() < d - 2) high_.resize(d - 2);
-      auto& bucket = high_[d - 3];
-      for (VertexId u : v) bucket.push_back(raw(u));
-      return;
-    }
-  }
-}
-
 void CompiledComplex::Builder::add(const Simplex& s) {
   const auto& v = s.vertices();
   const std::size_t n = v.size();
   if (n == 0) return;
+  if (n == 3) {
+    // Triangles, almost every facet a 3-process task streams, skip the
+    // subset enumeration below.
+    const std::uint32_t a = raw(v[0]), b = raw(v[1]), c = raw(v[2]);
+    verts_.insert(verts_.end(), {a, b, c});
+    edges_.insert(edges_.end(), {pack(a, b), pack(a, c), pack(b, c)});
+    tris_.push_back({a, b, c});
+    return;
+  }
   if (n > 16) throw std::length_error("CompiledComplex::Builder::add: simplex too large");
   // Enumerate every non-empty vertex subset; subsets of a sorted vector are
   // sorted, so each face lands in its bucket already canonical.
@@ -88,9 +73,23 @@ std::shared_ptr<const CompiledComplex> CompiledComplex::Builder::finish() {
   CompiledComplex& c = *out;
 
   // 1. Deduplicate the scratch buckets (sorted order is the canonical
-  //    iteration order everywhere downstream).
-  std::sort(verts_.begin(), verts_.end());
-  verts_.erase(std::unique(verts_.begin(), verts_.end()), verts_.end());
+  //    iteration order everywhere downstream). Vertices repeat once per
+  //    incident face, so they are deduplicated through the raw-id table
+  //    the renumbering sizes anyway, and only the survivors are sorted.
+  {
+    std::uint32_t top = 0;
+    for (std::uint32_t r : verts_) top = std::max(top, r + 1);
+    c.dense_.assign(top, kAbsent);
+    std::size_t kept = 0;
+    for (std::uint32_t r : verts_) {
+      if (c.dense_[r] == kAbsent) {
+        c.dense_[r] = 0;
+        verts_[kept++] = r;
+      }
+    }
+    verts_.resize(kept);
+    std::sort(verts_.begin(), verts_.end());
+  }
   std::sort(edges_.begin(), edges_.end());
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
   std::sort(tris_.begin(), tris_.end());
@@ -100,8 +99,6 @@ std::shared_ptr<const CompiledComplex> CompiledComplex::Builder::finish() {
   const std::size_t nv = verts_.size();
   c.verts_.reserve(nv);
   for (std::uint32_t r : verts_) c.verts_.push_back(VertexId{r});
-  const std::uint32_t max_raw = nv == 0 ? 0 : verts_.back() + 1;
-  c.dense_.assign(max_raw, kAbsent);
   for (std::size_t i = 0; i < nv; ++i) {
     c.dense_[verts_[i]] = static_cast<Local>(i);
   }
@@ -128,31 +125,22 @@ std::shared_ptr<const CompiledComplex> CompiledComplex::Builder::finish() {
 
   // 5. CSR incidence. Iterating the sorted edge/triangle tables appends to
   //    each row in ascending order, so rows come out sorted for free.
-  // vertex -> neighbors and vertex -> edges.
+  // vertex -> neighbors.
   c.nbr_off_.assign(nv + 1, 0);
-  c.v2e_off_.assign(nv + 1, 0);
   for (std::size_t e = 0; e < ne; ++e) {
     const auto [u, v] = c.edge(e);
     ++c.nbr_off_[static_cast<std::size_t>(u) + 1];
     ++c.nbr_off_[static_cast<std::size_t>(v) + 1];
-    ++c.v2e_off_[static_cast<std::size_t>(u) + 1];
-    ++c.v2e_off_[static_cast<std::size_t>(v) + 1];
   }
-  for (std::size_t i = 0; i < nv; ++i) {
-    c.nbr_off_[i + 1] += c.nbr_off_[i];
-    c.v2e_off_[i + 1] += c.v2e_off_[i];
-  }
+  for (std::size_t i = 0; i < nv; ++i) c.nbr_off_[i + 1] += c.nbr_off_[i];
   c.nbr_.assign(c.nbr_off_[nv], kAbsent);
-  c.v2e_.assign(c.v2e_off_[nv], 0);
   {
     std::vector<std::uint32_t> cursor(nv, 0);
     for (std::size_t e = 0; e < ne; ++e) {
       const auto [u, v] = c.edge(e);
       const auto iu = static_cast<std::size_t>(u), iv = static_cast<std::size_t>(v);
-      c.nbr_[c.nbr_off_[iu] + cursor[iu]] = v;
-      c.v2e_[c.v2e_off_[iu] + cursor[iu]++] = static_cast<std::uint32_t>(e);
-      c.nbr_[c.nbr_off_[iv] + cursor[iv]] = u;
-      c.v2e_[c.v2e_off_[iv] + cursor[iv]++] = static_cast<std::uint32_t>(e);
+      c.nbr_[c.nbr_off_[iu] + cursor[iu]++] = v;
+      c.nbr_[c.nbr_off_[iv] + cursor[iv]++] = u;
     }
   }
 
@@ -236,19 +224,15 @@ std::shared_ptr<const CompiledComplex> CompiledComplex::Builder::finish() {
   return out;
 }
 
-std::shared_ptr<const CompiledComplex> CompiledComplex::compile(
-    const SimplicialComplex& k) {
+std::shared_ptr<const CompiledComplex> CompiledComplex::of_facets(
+    const std::vector<Simplex>& facets) {
   TRI_SPAN("topology/compile");
   static obs::Counter& compiles =
       obs::MetricsRegistry::global().counter("topology.compiles");
   compiles.add();
   Builder builder;
-  k.for_each([&builder](const Simplex& s) { builder.add_closed(s); });
-  auto out = builder.finish();
-#ifndef NDEBUG
-  out->debug_verify_against(k);
-#endif
-  return out;
+  for (const Simplex& f : facets) builder.add(f);
+  return builder.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -301,12 +285,6 @@ std::size_t CompiledComplex::count(int d) const {
   }
 }
 
-std::size_t CompiledComplex::total_count() const {
-  std::size_t total = 0;
-  for (int d = 0; d <= dimension_; ++d) total += count(d);
-  return total;
-}
-
 const CompiledComplex::Local* CompiledComplex::cells_flat(int d) const {
   if (d == 2) return tri_verts_.data();
   if (d >= 3 && static_cast<std::size_t>(d - 3) < high_.size()) {
@@ -356,35 +334,6 @@ bool CompiledComplex::contains(const Simplex& s) const {
         }
       }
       return false;
-    }
-  }
-}
-
-std::size_t CompiledComplex::star_count(Local v, int d) const {
-  switch (d) {
-    case 0:
-      return 1;
-    case 1:
-      return edges_of_count(v);
-    case 2:
-      return triangles_of_count(v);
-    default: {
-      if (d < 3) return 0;
-      const Local* flat = cells_flat(d);
-      if (flat == nullptr) return 0;
-      const std::size_t cells = count(d);
-      const std::size_t stride = static_cast<std::size_t>(d) + 1;
-      std::size_t total = 0;
-      for (std::size_t i = 0; i < cells; ++i) {
-        const Local* cell = flat + i * stride;
-        for (std::size_t j = 0; j < stride; ++j) {
-          if (cell[j] == v) {
-            ++total;
-            break;
-          }
-        }
-      }
-      return total;
     }
   }
 }
@@ -471,94 +420,6 @@ std::vector<std::vector<VertexId>> CompiledComplex::link_components(Local v) con
     components.push_back(std::move(ids));
   }
   return components;
-}
-
-std::size_t CompiledComplex::component_count() const {
-  const std::size_t nv = verts_.size();
-  if (nv == 0) return 0;
-  std::vector<Local> parent(nv);
-  for (std::size_t i = 0; i < nv; ++i) parent[i] = static_cast<Local>(i);
-  auto find = [&parent](Local x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-  };
-  for (std::size_t e = 0; e < edge_keys_.size(); ++e) {
-    const auto [u, v] = edge(e);
-    const Local ru = find(u), rv = find(v);
-    if (ru != rv) parent[static_cast<std::size_t>(ru)] = rv;
-  }
-  std::size_t roots = 0;
-  for (std::size_t i = 0; i < nv; ++i) {
-    if (find(static_cast<Local>(i)) == static_cast<Local>(i)) ++roots;
-  }
-  return roots;
-}
-
-std::vector<Simplex> CompiledComplex::facets() const {
-  std::vector<Simplex> out;
-  auto global = [this](Local l) { return verts_[static_cast<std::size_t>(l)]; };
-  // Vertices: maximal iff isolated.
-  for (std::size_t i = 0; i < verts_.size(); ++i) {
-    if (degree(static_cast<Local>(i)) == 0) {
-      out.push_back(Simplex::single(verts_[i]));
-    }
-  }
-  // Edges: maximal iff in no triangle — i.e. the two endpoints are not
-  // link-adjacent at either end; check via the bitset of the first endpoint.
-  for (std::size_t e = 0; e < edge_keys_.size(); ++e) {
-    const auto [u, v] = edge(e);
-    const Local* row = neighbors(u);
-    const std::size_t deg = degree(u);
-    const std::size_t pu = static_cast<std::size_t>(
-        std::lower_bound(row, row + deg, v) - row);
-    const std::uint64_t* words = link_row(u, pu);
-    bool in_triangle = false;
-    const std::size_t w = link_words_per_row(u);
-    for (std::size_t word = 0; word < w && !in_triangle; ++word) {
-      in_triangle = words[word] != 0;
-    }
-    if (!in_triangle) out.push_back(Simplex{global(u), global(v)});
-  }
-  // Dimension >= 2 cells: maximal iff not a face of any (d+1)-cell.
-  for (int d = 2; d <= dimension_; ++d) {
-    const Local* flat = cells_flat(d);
-    const std::size_t cells = count(d);
-    const std::size_t stride = static_cast<std::size_t>(d) + 1;
-    const std::size_t upper = count(d + 1);
-    const Local* upper_flat = cells_flat(d + 1);
-    for (std::size_t i = 0; i < cells; ++i) {
-      const Local* cell = flat + i * stride;
-      bool maximal = true;
-      for (std::size_t j = 0; j < upper && maximal; ++j) {
-        const Local* big = upper_flat + j * (stride + 1);
-        // subset test over two sorted runs
-        std::size_t a = 0, b = 0;
-        while (a < stride && b < stride + 1) {
-          if (cell[a] == big[b]) {
-            ++a;
-            ++b;
-          } else if (cell[a] > big[b]) {
-            ++b;
-          } else {
-            break;
-          }
-        }
-        if (a == stride) maximal = false;
-      }
-      if (maximal) {
-        std::vector<VertexId> ids;
-        ids.reserve(stride);
-        for (std::size_t j = 0; j < stride; ++j) ids.push_back(global(cell[j]));
-        out.emplace_back(std::move(ids));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void CompiledComplex::debug_verify_against(const SimplicialComplex& k) const {

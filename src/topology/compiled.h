@@ -1,19 +1,20 @@
 #pragma once
-// CompiledComplex: a frozen, flat snapshot of a SimplicialComplex for the
-// hot solver paths.
+// CompiledComplex: a frozen, flat complex for the hot solver paths.
 //
 // SimplicialComplex is the mutable authoring API: per-dimension hash sets of
 // heap-allocated Simplex keys, ideal for closure-complete editing but poor
 // for the tight loops of the verdict pipeline (decision-map CSP compilation,
 // LAP detection, link-connectivity checks), which only ever *read* a complex
-// that has stopped changing. compile() freezes such a complex into:
+// that has stopped changing. Those paths build the flat form directly from
+// a facet list — of_facets(delta.facet_images(σ)) for a Δ-image, a
+// streaming Builder for a subdivision level — without a hash-set round
+// trip. The snapshot holds:
 //
 //   - a dense int32 vertex renumbering ("locals"), sorted by raw VertexId,
 //     so local order == the deterministic global order every consumer
 //     already iterates in;
 //   - a sorted flat edge table of packed (u,v) local pairs with binary
-//     lookup, plus CSR vertex->edge, vertex->triangle, and vertex->neighbor
-//     incidence arrays;
+//     lookup, plus CSR vertex->neighbor and vertex->triangle rows;
 //   - per-vertex *link adjacency bitmasks*: the paper fixes dimension <= 2,
 //     so the link of a vertex is just a graph over its neighbor row, stored
 //     as ceil(deg/64) words per neighbor — link component counting becomes
@@ -24,8 +25,8 @@
 //     O(1) chunk release rather than per-simplex destruction.
 //
 // The snapshot is immutable and non-movable (the arena pins addresses);
-// share it via the shared_ptr the factory returns. Debug builds can verify
-// a snapshot against its source with debug_verify_against.
+// share it via the shared_ptr the factories return. Debug builds and tests
+// can check a snapshot against a hash-set complex with debug_verify_against.
 
 #include <array>
 #include <cstddef>
@@ -50,20 +51,17 @@ class CompiledComplex {
   CompiledComplex(const CompiledComplex&) = delete;
   CompiledComplex& operator=(const CompiledComplex&) = delete;
 
-  /// Freezes `k`. The snapshot is independent of `k` afterwards.
-  static std::shared_ptr<const CompiledComplex> compile(const SimplicialComplex& k);
+  /// The closure of `facets` (duplicates and non-maximal entries fine).
+  static std::shared_ptr<const CompiledComplex> of_facets(
+      const std::vector<Simplex>& facets);
 
   /// Streaming construction: feed simplices (duplicates fine, closure not
   /// required), then finish(). Lets producers like subdivide_once emit
-  /// facets directly into the flat form without a second pass over hash
-  /// sets.
+  /// facets directly into the flat form as they generate them.
   class Builder {
    public:
     /// Adds `s` and (implicitly) every face of it.
     void add(const Simplex& s);
-    /// Adds `s` alone; the caller promises the stream is closure-complete
-    /// (used by compile(), whose source already stores every face).
-    void add_closed(const Simplex& s);
     std::shared_ptr<const CompiledComplex> finish();
 
    private:
@@ -110,7 +108,6 @@ class CompiledComplex {
 
   int dimension() const { return dimension_; }
   std::size_t count(int d) const;
-  std::size_t total_count() const;
   /// Flat vertex array of the d-cells, stride d + 1, cells sorted
   /// lexicographically; d >= 2. Empty when there are none.
   const Local* cells_flat(int d) const;
@@ -125,20 +122,12 @@ class CompiledComplex {
   }
   /// Neighbors of `v` as locals, sorted ascending.
   const Local* neighbors(Local v) const { return nbr_.data() + nbr_off_[static_cast<std::size_t>(v)]; }
-  /// Edge indices incident to `v`, ascending.
-  const std::uint32_t* edges_of(Local v) const { return v2e_.data() + v2e_off_[static_cast<std::size_t>(v)]; }
-  std::size_t edges_of_count(Local v) const {
-    const auto i = static_cast<std::size_t>(v);
-    return v2e_off_[i + 1] - v2e_off_[i];
-  }
   /// Triangle indices incident to `v`, ascending.
   const std::uint32_t* triangles_of(Local v) const { return v2t_.data() + v2t_off_[static_cast<std::size_t>(v)]; }
   std::size_t triangles_of_count(Local v) const {
     const auto i = static_cast<std::size_t>(v);
     return v2t_off_[i + 1] - v2t_off_[i];
   }
-  /// Number of d-simplices containing vertex(v) (the open star).
-  std::size_t star_count(Local v, int d) const;
 
   // --- links (dimension <= 2 structure) -----------------------------------
 
@@ -153,13 +142,6 @@ class CompiledComplex {
   bool link_connected(Local v) const {
     return degree(v) > 0 && link_component_count(v) == 1;
   }
-
-  // --- whole-complex queries ----------------------------------------------
-
-  /// Connected components of the 1-skeleton (isolated vertices count).
-  std::size_t component_count() const;
-  /// Maximal simplices, sorted — matches SimplicialComplex::facets().
-  std::vector<Simplex> facets() const;
 
   /// Asserts (debug builds) that this snapshot stores exactly the simplices
   /// of `k`. No-op under NDEBUG.
@@ -189,8 +171,6 @@ class CompiledComplex {
   // CSR incidence.
   std::pmr::vector<std::uint32_t> nbr_off_{&arena_};
   std::pmr::vector<Local> nbr_{&arena_};
-  std::pmr::vector<std::uint32_t> v2e_off_{&arena_};
-  std::pmr::vector<std::uint32_t> v2e_{&arena_};
   std::pmr::vector<std::uint32_t> v2t_off_{&arena_};
   std::pmr::vector<std::uint32_t> v2t_{&arena_};
 

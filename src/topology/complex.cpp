@@ -30,21 +30,6 @@ void SimplicialComplex::add_all(const SimplicialComplex& other) {
   for (const Simplex& f : other.facets()) add(f);
 }
 
-void SimplicialComplex::remove_with_cofaces(const Simplex& s) {
-  if (!contains(s)) return;
-  for (int d = s.dim(); d < static_cast<int>(by_dim_.size()); ++d) {
-    auto& lvl = by_dim_[static_cast<std::size_t>(d)];
-    for (auto it = lvl.begin(); it != lvl.end();) {
-      if (it->contains_all(s)) {
-        it = lvl.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  while (!by_dim_.empty() && by_dim_.back().empty()) by_dim_.pop_back();
-}
-
 bool SimplicialComplex::contains(const Simplex& s) const {
   const auto* lvl = level(s.dim());
   return lvl != nullptr && lvl->count(s) > 0;

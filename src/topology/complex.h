@@ -27,10 +27,6 @@ class SimplicialComplex {
   /// Adds every simplex of `other`.
   void add_all(const SimplicialComplex& other);
 
-  /// Removes a simplex and every simplex containing it (star removal),
-  /// keeping the complex closed under inclusion.
-  void remove_with_cofaces(const Simplex& s);
-
   bool contains(const Simplex& s) const;
   bool contains_vertex(VertexId v) const { return contains(Simplex::single(v)); }
 

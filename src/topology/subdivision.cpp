@@ -23,103 +23,7 @@ SubdividedComplex identity_subdivision(const SimplicialComplex& base) {
   for (VertexId v : base.vertex_ids()) {
     out.carrier.emplace(v, Simplex::single(v));
   }
-  out.compiled = CompiledComplex::compile(out.complex);
-  return out;
-}
-
-namespace {
-
-void ordered_partitions_rec(const std::vector<VertexId>& items,
-                            std::vector<std::vector<VertexId>>& prefix,
-                            std::vector<std::vector<std::vector<VertexId>>>& out) {
-  if (items.empty()) {
-    out.push_back(prefix);
-    return;
-  }
-  const std::size_t n = items.size();
-  // Enumerate non-empty first blocks as bitmasks, in increasing mask order
-  // for determinism.
-  for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
-    std::vector<VertexId> block, rest;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask & (1u << i)) {
-        block.push_back(items[i]);
-      } else {
-        rest.push_back(items[i]);
-      }
-    }
-    prefix.push_back(std::move(block));
-    ordered_partitions_rec(rest, prefix, out);
-    prefix.pop_back();
-  }
-}
-
-}  // namespace
-
-std::vector<std::vector<std::vector<VertexId>>> ordered_partitions(
-    const std::vector<VertexId>& items) {
-  std::vector<std::vector<std::vector<VertexId>>> out;
-  std::vector<std::vector<VertexId>> prefix;
-  if (items.size() > 8) {
-    throw std::length_error("ordered_partitions: more than 8 items");
-  }
-  ordered_partitions_rec(items, prefix, out);
-  return out;
-}
-
-SubdividedComplex subdivide_once_reference(VertexPool& pool,
-                                           const SubdividedComplex& prev) {
-  TRI_SPAN("topology/subdivide_once");
-  SubdividedComplex out;
-  ValuePool& values = pool.values();
-  const ValueId view_tag = values.of_string("view");
-
-  // Interns the subdivision vertex for (process-vertex u, view V).
-  auto subdivision_vertex = [&](VertexId u, const Simplex& view) {
-    std::vector<ValueId> members;
-    members.reserve(view.size());
-    for (VertexId w : view) {
-      members.push_back(values.of_int(static_cast<std::int64_t>(raw(w))));
-    }
-    const ValueId view_value =
-        values.of_tuple({view_tag, values.of_set(std::move(members))});
-    const VertexId nv = pool.vertex(pool.color(u), view_value);
-    if (out.carrier.count(nv) == 0) {
-      out.carrier.emplace(nv, prev.carrier_of(view));
-    }
-    return nv;
-  };
-
-  // Subdivide every simplex; the union glues correctly along shared faces
-  // because subdivision vertices are interned by (color, view). Each facet
-  // streams both into the mutable hash-set form and into the flat compiled
-  // builder, so the snapshot costs one sort instead of a second traversal.
-  // Simplices are enumerated in canonical (sorted) order, not hash-set
-  // order: the intern sequence of the new level's vertices must be a
-  // function of `prev`'s *content* so that a level reconstructed from a
-  // stored artifact (io/store.h) extends to the identical pool state a
-  // cold build reaches.
-  CompiledComplex::Builder builder;
-  for (const Simplex& sigma : prev.complex.all_simplices()) {
-    for (const auto& partition : ordered_partitions(sigma.vertices())) {
-      Simplex view;  // running union B1 ∪ ... ∪ Bj
-      std::vector<VertexId> facet_vertices;
-      facet_vertices.reserve(sigma.size());
-      for (const auto& block : partition) {
-        for (VertexId u : block) view = view.with(u);
-        for (VertexId u : block) {
-          facet_vertices.push_back(subdivision_vertex(u, view));
-        }
-      }
-      Simplex facet(std::move(facet_vertices));
-      builder.add(facet);
-      out.complex.add(facet);
-    }
-  }
-  out.compiled = builder.finish();
-#ifndef NDEBUG
-  out.compiled->debug_verify_against(out.complex);
-#endif
+  out.compiled = CompiledComplex::of_facets(base.facets());
   return out;
 }
 
@@ -129,10 +33,10 @@ ChTemplate build_ch_template(std::size_t n) {
   // (position, view-mask) → uniq index; views fit 8 bits for n <= 8.
   std::vector<std::int16_t> seen(n << 8, -1);
   std::vector<std::uint16_t> facet;
-  // Mirrors ordered_partitions_rec over positions instead of vertices: the
-  // traversal (first blocks as ascending bitmasks over the remaining items,
-  // block members in item order) and therefore the vertex first-occurrence
-  // order and facet order are identical to the reference enumeration.
+  // Enumerates the ordered set partitions of the positions: first blocks as
+  // ascending bitmasks over the remaining items, block members in item
+  // order. That traversal fixes the vertex first-occurrence order and the
+  // facet order.
   auto rec = [&](auto&& self, const std::vector<std::uint8_t>& rem,
                  std::uint8_t view) -> void {
     if (rem.empty()) {
@@ -212,7 +116,7 @@ const ChTemplate& ch_template(std::size_t n) {
       return t;
     }
     default:
-      throw std::length_error("ordered_partitions: more than 8 items");
+      throw std::length_error("ch_template: more than 8 vertices");
   }
 }
 
@@ -226,15 +130,17 @@ SubdividedComplex subdivide_once(VertexPool& pool,
   std::size_t stamps = 0;
 
   // Stamp the per-dimension template onto every simplex. Pool-state
-  // equivalence with the reference enumeration: uniq is in first-occurrence
-  // order of the same traversal, a vertex's (of_int members, of_set,
-  // of_tuple, vertex) intern sequence is reproduced per uniq entry, and
-  // repeated interning is a no-op — so every pool id comes out identical.
+  // equivalence with a per-simplex ordered-partition enumeration (the
+  // oracle in tests/topology_template_test.cpp): uniq is in
+  // first-occurrence order of the same traversal, a vertex's (of_int
+  // members, of_set, of_tuple, vertex) intern sequence is reproduced per
+  // uniq entry, and repeated interning is a no-op — so every pool id comes
+  // out identical.
   CompiledComplex::Builder builder;
   std::vector<VertexId> verts;     // uniq index → interned vertex, per σ
   std::vector<ValueId> members;
   std::array<ValueId, 8> pos_int;  // of_int(raw(σ[i])), per σ
-  // Canonical (sorted) enumeration, mirroring the reference: warm-started
+  // Canonical (sorted) enumeration, as in that oracle: warm-started
   // ladders (io/store.h) rebuild `prev` from content, so the stamp order —
   // and with it every interned id of the next level — must not depend on
   // the hash-set's insertion history.
@@ -244,7 +150,7 @@ SubdividedComplex subdivide_once(VertexPool& pool,
     const ChTemplate& tpl = ch_template(m);
     // First facet of the enumeration is the all-singletons partition in
     // ascending order, so upfront ascending of_int interning matches the
-    // reference's first-occurrence order.
+    // enumeration's first-occurrence order.
     for (std::size_t i = 0; i < m; ++i) {
       pos_int[i] = values.of_int(static_cast<std::int64_t>(raw(sv[i])));
     }

@@ -33,21 +33,13 @@ struct SubdividedComplex {
   SimplicialComplex complex;
   /// carrier[v] = minimal base simplex containing v.
   std::unordered_map<VertexId, Simplex, VertexIdHash> carrier;
-  /// Frozen flat snapshot of `complex` (see topology/compiled.h). The
-  /// library constructors (identity_subdivision, subdivide_once,
-  /// chromatic_subdivision, SubdivisionLadder) always populate it; hand-built
-  /// instances may leave it null, in which case consumers compile on demand
-  /// via `compiled_view`.
+  /// Flat form of `complex` (see topology/compiled.h). Every constructor —
+  /// identity_subdivision, subdivide_once, chromatic_subdivision,
+  /// SubdivisionLadder and the store's io::load_ladder_levels — sets it.
   std::shared_ptr<const CompiledComplex> compiled;
 
   /// Carrier of a simplex: the union of its vertices' carriers.
   Simplex carrier_of(const Simplex& s) const;
-
-  /// The compiled snapshot, compiling `complex` now if none is attached.
-  /// The returned handle keeps the snapshot alive.
-  std::shared_ptr<const CompiledComplex> compiled_view() const {
-    return compiled != nullptr ? compiled : CompiledComplex::compile(complex);
-  }
 };
 
 /// The identity subdivision (r = 0): each vertex is its own carrier.
@@ -68,11 +60,6 @@ SubdividedComplex subdivide_once(VertexPool& pool,
 SubdividedComplex chromatic_subdivision(VertexPool& pool, const SimplicialComplex& base,
                                         int rounds);
 
-/// All ordered set partitions of `items` (each block non-empty, blocks
-/// ordered). For |items| = 3 there are 13. Deterministic order.
-std::vector<std::vector<std::vector<VertexId>>> ordered_partitions(
-    const std::vector<VertexId>& items);
-
 /// Compiled combinatorics of Ch(σ) for an abstract m-vertex simplex: the
 /// standard chromatic subdivision is fixed combinatorics (Kozlov), so it is
 /// derived once per dimension and *stamped* onto every concrete simplex
@@ -80,8 +67,9 @@ std::vector<std::vector<std::vector<VertexId>>> ordered_partitions(
 /// Positions index σ's vertices in ascending VertexId order; a subdivision
 /// vertex is the pair (position, view) with the view a bitmask over
 /// positions. `uniq` lists the distinct pairs in the exact first-occurrence
-/// order of the partition enumeration — interning them in this order
-/// reproduces the reference `subdivide_once`'s pool state bit for bit.
+/// order of the ordered-partition enumeration — interning them in this
+/// order reproduces the pool state of a per-simplex enumeration (the oracle
+/// in tests/topology_template_test.cpp) bit for bit.
 struct ChTemplate {
   struct TVert {
     std::uint8_t pos;   ///< whose vertex (position in σ, ascending ids)
@@ -98,15 +86,9 @@ struct ChTemplate {
 /// Derives the template for an m-vertex simplex (exposed for tests).
 ChTemplate build_ch_template(std::size_t n);
 
-/// Memoized template per dimension; same 8-vertex limit (and exception) as
-/// `ordered_partitions`.
+/// Memoized template per dimension; throws std::length_error beyond 8
+/// vertices.
 const ChTemplate& ch_template(std::size_t n);
-
-/// The pre-template `subdivide_once` (per-simplex ordered-partition
-/// enumeration), kept as the differential-testing oracle for the stamped
-/// path. Produces identical complexes, carriers, and pool state.
-SubdividedComplex subdivide_once_reference(VertexPool& pool,
-                                           const SubdividedComplex& prev);
 
 /// Incremental cache of the subdivision tower Ch^0, Ch^1, Ch^2, ... of one
 /// base complex. Every cached level carries its CompiledComplex snapshot,

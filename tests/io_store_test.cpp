@@ -3,6 +3,8 @@
 // crash), verdict-record round trips, and artifact round trips across
 // chromatic isomorphism.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,9 +75,11 @@ Task relabel(const Task& task, std::uint64_t seed) {
 
 std::string fresh_dir(const std::string& tag) {
   static int counter = 0;
+  // The pid keeps concurrent test processes (ctest -j) out of each
+  // other's directories; the counter separates calls within one process.
   const std::string dir =
       testing::TempDir() + "trichroma-store-" + tag + "-" +
-      std::to_string(++counter);
+      std::to_string(::getpid()) + "-" + std::to_string(++counter);
   fs::remove_all(dir);
   return dir;
 }

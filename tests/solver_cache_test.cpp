@@ -2,6 +2,8 @@
 // store (solver/pipeline.cpp), the byte-identity contract between cold and
 // warm reports, and the batch driver's fingerprint dedup pre-pass.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,8 +22,11 @@ namespace fs = std::filesystem;
 
 std::string fresh_dir(const std::string& tag) {
   static int counter = 0;
+  // The pid keeps concurrent test processes (ctest -j) out of each
+  // other's directories; the counter separates calls within one process.
   const std::string dir = testing::TempDir() + "trichroma-cache-" + tag +
-                          "-" + std::to_string(++counter);
+                          "-" + std::to_string(::getpid()) + "-" +
+                          std::to_string(++counter);
   fs::remove_all(dir);
   return dir;
 }

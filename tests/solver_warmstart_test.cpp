@@ -8,6 +8,8 @@
 // rename-atomic writers over one --cache-dir must leave a valid store and
 // correct verdicts (it runs under TSan in CI).
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,7 +34,10 @@ namespace fs = std::filesystem;
 
 std::string fresh_dir(const std::string& tag) {
   static int counter = 0;
+  // The pid keeps concurrent test processes (ctest -j) out of each
+  // other's directories; the counter separates calls within one process.
   const std::string dir = testing::TempDir() + "trichroma-warm-" + tag + "-" +
+                          std::to_string(::getpid()) + "-" +
                           std::to_string(++counter);
   fs::remove_all(dir);
   return dir;

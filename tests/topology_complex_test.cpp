@@ -64,18 +64,6 @@ TEST_F(ComplexTest, FacetsAreMaximalSimplices) {
   EXPECT_FALSE(k.is_pure());
 }
 
-TEST_F(ComplexTest, RemoveWithCofacesKeepsClosure) {
-  SimplicialComplex k;
-  const VertexId a = v(0, 0), b = v(1, 0), c = v(2, 0);
-  k.add(Simplex{a, b, c});
-  k.remove_with_cofaces(Simplex{a, b});
-  EXPECT_FALSE(k.contains(Simplex{a, b}));
-  EXPECT_FALSE(k.contains(Simplex{a, b, c}));
-  EXPECT_TRUE(k.contains(Simplex{a, c}));
-  EXPECT_TRUE(k.contains(Simplex::single(a)));
-  EXPECT_EQ(k.dimension(), 1);
-}
-
 TEST_F(ComplexTest, LinkOfInteriorVertex) {
   SimplicialComplex k;
   const VertexId a = v(0, 0), b = v(1, 0), c = v(2, 0), d = v(1, 1);

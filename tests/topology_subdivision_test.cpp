@@ -20,14 +20,6 @@ class SubdivisionTest : public ::testing::Test {
   }
 };
 
-TEST_F(SubdivisionTest, OrderedPartitionsCount) {
-  // Fubini numbers: 1, 3, 13 for 1, 2, 3 elements.
-  const VertexId a = pool.vertex(0, 0), b = pool.vertex(1, 1), c = pool.vertex(2, 2);
-  EXPECT_EQ(ordered_partitions({a}).size(), 1u);
-  EXPECT_EQ(ordered_partitions({a, b}).size(), 3u);
-  EXPECT_EQ(ordered_partitions({a, b, c}).size(), 13u);
-}
-
 TEST_F(SubdivisionTest, IdentitySubdivisionIsBase) {
   const SimplicialComplex base = triangle();
   const SubdividedComplex sub = identity_subdivision(base);

@@ -1,14 +1,17 @@
 // Differential tests for the template-stamped standard chromatic
 // subdivision: subdivide_once (stamped from precompiled per-dimension
 // ChTemplates) must reproduce subdivide_once_reference (per-simplex
-// ordered-partition enumeration) exactly — same facets, same carriers, same
-// colors, same compiled CSR, and the same interning order, so raw vertex
-// ids agree across two independently grown pools.
+// ordered-partition enumeration, kept here as the oracle) exactly — same
+// facets, same carriers, same colors, same compiled CSR, and the same
+// interning order, so raw vertex ids agree across two independently grown
+// pools.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "tasks/zoo.h"
@@ -16,6 +19,94 @@
 
 namespace trichroma {
 namespace {
+
+void ordered_partitions_rec(const std::vector<VertexId>& items,
+                            std::vector<std::vector<VertexId>>& prefix,
+                            std::vector<std::vector<std::vector<VertexId>>>& out) {
+  if (items.empty()) {
+    out.push_back(prefix);
+    return;
+  }
+  const std::size_t n = items.size();
+  // Enumerate non-empty first blocks as bitmasks, in increasing mask order
+  // for determinism.
+  for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
+    std::vector<VertexId> block, rest;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask & (1u << i)) {
+        block.push_back(items[i]);
+      } else {
+        rest.push_back(items[i]);
+      }
+    }
+    prefix.push_back(std::move(block));
+    ordered_partitions_rec(rest, prefix, out);
+    prefix.pop_back();
+  }
+}
+
+/// All ordered set partitions of `items` (each block non-empty, blocks
+/// ordered). For |items| = 3 there are 13. Deterministic order.
+std::vector<std::vector<std::vector<VertexId>>> ordered_partitions(
+    const std::vector<VertexId>& items) {
+  std::vector<std::vector<std::vector<VertexId>>> out;
+  std::vector<std::vector<VertexId>> prefix;
+  if (items.size() > 8) {
+    throw std::length_error("ordered_partitions: more than 8 items");
+  }
+  ordered_partitions_rec(items, prefix, out);
+  return out;
+}
+
+/// The pre-template subdivide_once: enumerates the ordered partitions of
+/// every simplex of `prev` and interns each subdivision vertex by (color,
+/// view). Produces the complexes, carriers and pool state the stamped path
+/// must reproduce.
+SubdividedComplex subdivide_once_reference(VertexPool& pool,
+                                           const SubdividedComplex& prev) {
+  SubdividedComplex out;
+  ValuePool& values = pool.values();
+  const ValueId view_tag = values.of_string("view");
+
+  // Interns the subdivision vertex for (process-vertex u, view V).
+  auto subdivision_vertex = [&](VertexId u, const Simplex& view) {
+    std::vector<ValueId> members;
+    members.reserve(view.size());
+    for (VertexId w : view) {
+      members.push_back(values.of_int(static_cast<std::int64_t>(raw(w))));
+    }
+    const ValueId view_value =
+        values.of_tuple({view_tag, values.of_set(std::move(members))});
+    const VertexId nv = pool.vertex(pool.color(u), view_value);
+    if (out.carrier.count(nv) == 0) {
+      out.carrier.emplace(nv, prev.carrier_of(view));
+    }
+    return nv;
+  };
+
+  // Subdivide every simplex in canonical (sorted) order; the union glues
+  // correctly along shared faces because subdivision vertices are interned
+  // by (color, view).
+  CompiledComplex::Builder builder;
+  for (const Simplex& sigma : prev.complex.all_simplices()) {
+    for (const auto& partition : ordered_partitions(sigma.vertices())) {
+      Simplex view;  // running union B1 ∪ ... ∪ Bj
+      std::vector<VertexId> facet_vertices;
+      facet_vertices.reserve(sigma.size());
+      for (const auto& block : partition) {
+        for (VertexId u : block) view = view.with(u);
+        for (VertexId u : block) {
+          facet_vertices.push_back(subdivision_vertex(u, view));
+        }
+      }
+      Simplex facet(std::move(facet_vertices));
+      builder.add(facet);
+      out.complex.add(facet);
+    }
+  }
+  out.compiled = builder.finish();
+  return out;
+}
 
 std::vector<std::vector<std::uint32_t>> facet_table(const SimplicialComplex& c) {
   std::vector<std::vector<std::uint32_t>> out;
@@ -90,6 +181,15 @@ void sweep_task(Task (*build)(), int max_r) {
     SCOPED_TRACE("radius " + std::to_string(r));
     expect_equivalent(*ta.pool, a, *tb.pool, b);
   }
+}
+
+TEST(SubdivisionTest, OrderedPartitionsCount) {
+  // Fubini numbers: 1, 3, 13 for 1, 2, 3 elements.
+  VertexPool pool;
+  const VertexId a = pool.vertex(0, 0), b = pool.vertex(1, 1), c = pool.vertex(2, 2);
+  EXPECT_EQ(ordered_partitions({a}).size(), 1u);
+  EXPECT_EQ(ordered_partitions({a, b}).size(), 3u);
+  EXPECT_EQ(ordered_partitions({a, b, c}).size(), 13u);
 }
 
 TEST(ChTemplate, KnownCombinatoricsPerDimension) {
