@@ -67,6 +67,15 @@ Simplex parse_simplex(VertexPool& pool, const std::vector<std::string>& tokens,
     vertices.push_back(parse_vertex(pool, tokens[i], tag, num_processes, line));
   }
   if (vertices.empty()) throw ParseError(line, "empty simplex");
+  // A chromatic simplex has at most one vertex per process.
+  std::sort(vertices.begin(), vertices.end(),
+            [](VertexId a, VertexId b) { return raw(a) < raw(b); });
+  vertices.erase(std::unique(vertices.begin(), vertices.end()), vertices.end());
+  if (vertices.size() > static_cast<std::size_t>(num_processes)) {
+    throw ParseError(line, "simplex lists " + std::to_string(vertices.size()) +
+                               " vertices, more than the " +
+                               std::to_string(num_processes) + " processes");
+  }
   return Simplex(std::move(vertices));
 }
 
@@ -172,7 +181,7 @@ std::string vertex_token(const VertexPool& pool, VertexId v) {
 std::string simplex_tokens(const VertexPool& pool, const Simplex& s) {
   // Order by color so the rendering is independent of interning order
   // (serialize ∘ parse is then a fixed point).
-  std::vector<VertexId> verts = s.vertices();
+  std::vector<VertexId> verts(s.begin(), s.end());
   std::sort(verts.begin(), verts.end(), [&](VertexId a, VertexId b) {
     return pool.color(a) < pool.color(b);
   });

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -22,7 +21,7 @@ constexpr std::uint64_t pack(std::uint32_t a, std::uint32_t b) {
 // ---------------------------------------------------------------------------
 
 void CompiledComplex::Builder::add(const Simplex& s) {
-  const auto& v = s.vertices();
+  const std::span<const VertexId> v = s.vertices();
   const std::size_t n = v.size();
   if (n == 0) return;
   if (n == 3) {
@@ -34,12 +33,11 @@ void CompiledComplex::Builder::add(const Simplex& s) {
     tris_.push_back({a, b, c});
     return;
   }
-  if (n > 16) throw std::length_error("CompiledComplex::Builder::add: simplex too large");
-  // Enumerate every non-empty vertex subset; subsets of a sorted vector are
+  // Enumerate every non-empty vertex subset; subsets of a sorted simplex are
   // sorted, so each face lands in its bucket already canonical.
   for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
     const int bits = __builtin_popcountll(mask);
-    std::uint32_t face[16];
+    std::uint32_t face[Simplex::kMaxVertices] = {};
     int m = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (mask & (std::size_t{1} << i)) face[m++] = raw(v[i]);
@@ -294,11 +292,10 @@ const CompiledComplex::Local* CompiledComplex::cells_flat(int d) const {
 }
 
 bool CompiledComplex::contains(const Simplex& s) const {
-  const auto& v = s.vertices();
+  const std::span<const VertexId> v = s.vertices();
   const std::size_t n = v.size();
   if (n == 0) return false;
-  Local locals[16];
-  if (n > 16) return false;
+  Local locals[Simplex::kMaxVertices] = {};
   for (std::size_t i = 0; i < n; ++i) {
     locals[i] = local(v[i]);
     if (locals[i] == kAbsent) return false;

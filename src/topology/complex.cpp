@@ -88,22 +88,20 @@ std::vector<VertexId> SimplicialComplex::vertex_ids() const {
 }
 
 std::vector<Simplex> SimplicialComplex::facets() const {
+  // A d-simplex is maximal iff it is no boundary face of a (d+1)-simplex.
+  // Top down, mark the boundary faces of each level: the complex is closed
+  // under faces, so the unmarked simplices one level down are the facets.
   std::vector<Simplex> out;
-  for (int d = 0; d < static_cast<int>(by_dim_.size()); ++d) {
-    for (const Simplex& s : by_dim_[static_cast<std::size_t>(d)]) {
-      // s is maximal iff no simplex one dimension up contains it.
-      bool maximal = true;
-      const auto* up = level(d + 1);
-      if (up != nullptr) {
-        for (const Simplex& t : *up) {
-          if (t.contains_all(s)) {
-            maximal = false;
-            break;
-          }
-        }
-      }
-      if (maximal) out.push_back(s);
-    }
+  std::unordered_set<Simplex, SimplexHash> covered;
+  for (std::size_t d = by_dim_.size(); d-- > 0;) {
+    const auto& lvl = by_dim_[d];
+    for (const Simplex& s : lvl)
+      if (covered.count(s) == 0) out.push_back(s);
+    covered.clear();
+    if (d == 0) break;
+    covered.reserve(lvl.size() * (d + 1));
+    for (const Simplex& s : lvl)
+      for (VertexId v : s) covered.insert(s.without(v));
   }
   std::sort(out.begin(), out.end());
   return out;

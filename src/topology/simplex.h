@@ -1,16 +1,22 @@
 #pragma once
 // Simplex: an immutable, canonically sorted, non-empty set of vertices.
 //
-// Simplices are small (dimension <= 2 throughout the paper, i.e. at most
-// three vertices), so they are stored inline in a sorted std::vector and
-// compared element-wise. The empty set is representable (Simplex{}) and is
-// used as "no simplex" in a few algorithms, but never stored in a complex.
+// A simplex of an n-process task has at most n vertices (one per process),
+// and the task format caps n at kMaxVertices, as does ch_template. The
+// vertices are therefore stored inline, sorted by id, in a fixed array plus
+// a count: copying a simplex, hashing it into a set or storing it as a
+// carrier-map row touches no heap. Building a simplex of more than
+// kMaxVertices distinct vertices throws std::length_error. The empty set is
+// representable (Simplex{}) and is used as "no simplex" in a few
+// algorithms, but never stored in a complex.
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,85 +27,79 @@ namespace trichroma {
 
 class Simplex {
  public:
+  /// Capacity: the task format's process cap.
+  static constexpr std::size_t kMaxVertices = 8;
+
   Simplex() = default;
 
   /// Builds a simplex from vertices; sorts and deduplicates.
-  explicit Simplex(std::vector<VertexId> vertices) : verts_(std::move(vertices)) {
-    normalize();
+  explicit Simplex(std::span<const VertexId> vertices) {
+    for (VertexId v : vertices) insert(v);
   }
-  Simplex(std::initializer_list<VertexId> vertices)
-      : verts_(vertices.begin(), vertices.end()) {
-    normalize();
+  Simplex(std::initializer_list<VertexId> vertices) {
+    for (VertexId v : vertices) insert(v);
   }
 
-  static Simplex single(VertexId v) { return Simplex{{v}}; }
+  static Simplex single(VertexId v) { return Simplex{v}; }
 
-  bool empty() const { return verts_.empty(); }
-  std::size_t size() const { return verts_.size(); }
+  bool empty() const { return n_ == 0; }
+  std::size_t size() const { return n_; }
   /// Dimension = |σ| - 1; the empty simplex reports -1.
-  int dim() const { return static_cast<int>(verts_.size()) - 1; }
+  int dim() const { return static_cast<int>(n_) - 1; }
 
-  const std::vector<VertexId>& vertices() const { return verts_; }
-  auto begin() const { return verts_.begin(); }
-  auto end() const { return verts_.end(); }
-  VertexId operator[](std::size_t i) const { return verts_[i]; }
-
-  bool contains(VertexId v) const {
-    return std::binary_search(verts_.begin(), verts_.end(), v,
-                              [](VertexId a, VertexId b) { return raw(a) < raw(b); });
+  std::span<const VertexId> vertices() const { return {verts_.data(), n_}; }
+  const VertexId* begin() const { return verts_.data(); }
+  const VertexId* end() const { return verts_.data() + n_; }
+  VertexId operator[](std::size_t i) const {
+    assert(i < n_);
+    return verts_[i];
   }
+
+  bool contains(VertexId v) const { return std::find(begin(), end(), v) != end(); }
 
   /// True iff `other` is a (not necessarily proper) face of this simplex.
   bool contains_all(const Simplex& other) const {
-    return std::includes(verts_.begin(), verts_.end(), other.verts_.begin(),
-                         other.verts_.end(),
-                         [](VertexId a, VertexId b) { return raw(a) < raw(b); });
+    return std::includes(begin(), end(), other.begin(), other.end(), Less{});
   }
 
   /// This simplex with `v` added (no-op if already present).
   Simplex with(VertexId v) const {
-    std::vector<VertexId> out = verts_;
-    out.push_back(v);
-    return Simplex(std::move(out));
+    Simplex out = *this;
+    out.insert(v);
+    return out;
   }
 
   /// This simplex with `v` removed (no-op if absent).
   Simplex without(VertexId v) const {
-    std::vector<VertexId> out;
-    out.reserve(verts_.size());
-    for (VertexId u : verts_)
+    Simplex out;
+    for (VertexId u : *this)
       if (u != v) out.push_back(u);
-    return Simplex(std::move(out));
+    return out;
   }
 
   Simplex unite(const Simplex& other) const {
-    std::vector<VertexId> out = verts_;
-    out.insert(out.end(), other.verts_.begin(), other.verts_.end());
-    return Simplex(std::move(out));
+    Simplex out = *this;
+    for (VertexId v : other) out.insert(v);
+    return out;
   }
 
   Simplex intersect(const Simplex& other) const {
-    std::vector<VertexId> out;
-    std::set_intersection(verts_.begin(), verts_.end(), other.verts_.begin(),
-                          other.verts_.end(), std::back_inserter(out),
-                          [](VertexId a, VertexId b) { return raw(a) < raw(b); });
-    return Simplex(std::move(out));
+    Simplex out;
+    const VertexId* last = std::set_intersection(begin(), end(), other.begin(),
+                                                 other.end(), out.verts_.data(), Less{});
+    out.n_ = static_cast<std::uint8_t>(last - out.verts_.data());
+    return out;
   }
 
-  /// All non-empty faces, including the simplex itself. Bounded at 16
-  /// vertices (2^16 faces); larger simplices throw rather than silently
-  /// overflowing the subset mask in release builds.
+  /// All non-empty faces, including the simplex itself.
   std::vector<Simplex> faces() const {
     std::vector<Simplex> out;
-    const std::size_t n = verts_.size();
-    if (n > 16) {
-      throw std::length_error("Simplex::faces: more than 16 vertices");
-    }
-    for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
-      std::vector<VertexId> face;
-      for (std::size_t i = 0; i < n; ++i)
-        if (mask & (std::size_t{1} << i)) face.push_back(verts_[i]);
-      out.emplace_back(std::move(face));
+    out.reserve((std::size_t{1} << n_) - 1);
+    for (unsigned mask = 1; mask < (1u << n_); ++mask) {
+      Simplex face;
+      for (std::size_t i = 0; i < n_; ++i)
+        if (mask & (1u << i)) face.push_back(verts_[i]);
+      out.push_back(face);
     }
     return out;
   }
@@ -107,30 +107,26 @@ class Simplex {
   /// The codimension-1 faces (boundary facets).
   std::vector<Simplex> boundary_faces() const {
     std::vector<Simplex> out;
-    if (verts_.size() < 2) return out;
-    for (std::size_t i = 0; i < verts_.size(); ++i) {
-      std::vector<VertexId> face;
-      face.reserve(verts_.size() - 1);
-      for (std::size_t j = 0; j < verts_.size(); ++j)
-        if (j != i) face.push_back(verts_[j]);
-      out.emplace_back(std::move(face));
-    }
+    if (n_ < 2) return out;
+    out.reserve(n_);
+    for (VertexId v : *this) out.push_back(without(v));
     return out;
   }
 
-  bool operator==(const Simplex& other) const = default;
+  bool operator==(const Simplex& other) const {
+    return n_ == other.n_ && std::equal(begin(), end(), other.begin());
+  }
 
   /// Total order (lexicographic on sorted vertex ids), for deterministic
   /// iteration and for the paper's lexicographically-smallest path rule.
   bool operator<(const Simplex& other) const {
-    return std::lexicographical_compare(
-        verts_.begin(), verts_.end(), other.verts_.begin(), other.verts_.end(),
-        [](VertexId a, VertexId b) { return raw(a) < raw(b); });
+    return std::lexicographical_compare(begin(), end(), other.begin(), other.end(),
+                                        Less{});
   }
 
   std::string to_string(const VertexPool& pool) const {
     std::string out = "[";
-    for (std::size_t i = 0; i < verts_.size(); ++i) {
+    for (std::size_t i = 0; i < n_; ++i) {
       if (i > 0) out += " ";
       out += pool.name(verts_[i]);
     }
@@ -139,19 +135,38 @@ class Simplex {
   }
 
  private:
-  void normalize() {
-    std::sort(verts_.begin(), verts_.end(),
-              [](VertexId a, VertexId b) { return raw(a) < raw(b); });
-    verts_.erase(std::unique(verts_.begin(), verts_.end()), verts_.end());
+  struct Less {
+    bool operator()(VertexId a, VertexId b) const { return raw(a) < raw(b); }
+  };
+
+  /// Appends `v`, which must sort after every vertex already held.
+  void push_back(VertexId v) {
+    assert(n_ < kMaxVertices && (n_ == 0 || Less{}(verts_[n_ - 1], v)));
+    verts_[n_++] = v;
   }
 
-  std::vector<VertexId> verts_;
+  /// Inserts `v` in sorted position (no-op if present).
+  void insert(VertexId v) {
+    std::size_t i = n_;
+    while (i > 0 && Less{}(v, verts_[i - 1])) --i;
+    if (i > 0 && verts_[i - 1] == v) return;
+    if (n_ == kMaxVertices) {
+      throw std::length_error("Simplex: more than 8 vertices");
+    }
+    std::copy_backward(verts_.begin() + i, verts_.begin() + n_,
+                       verts_.begin() + n_ + 1);
+    verts_[i] = v;
+    ++n_;
+  }
+
+  std::array<VertexId, kMaxVertices> verts_{};
+  std::uint8_t n_ = 0;
 };
 
 struct SimplexHash {
   std::size_t operator()(const Simplex& s) const noexcept {
     std::size_t h = 0x9e3779b97f4a7c15ull;
-    for (VertexId v : s.vertices()) {
+    for (VertexId v : s) {
       h ^= raw(v) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     }
     return h;

@@ -145,7 +145,7 @@ SubdividedComplex subdivide_once(VertexPool& pool,
   // and with it every interned id of the next level — must not depend on
   // the hash-set's insertion history.
   for (const Simplex& sigma : prev.complex.all_simplices()) {
-    const std::vector<VertexId>& sv = sigma.vertices();
+    const std::span<const VertexId> sv = sigma.vertices();
     const std::size_t m = sv.size();
     const ChTemplate& tpl = ch_template(m);
     // First facet of the enumeration is the all-singletons partition in

@@ -328,6 +328,34 @@ TEST(Store, LadderLevelsRejectMalformedBodies) {
   EXPECT_FALSE(io::load_ladder_levels(a, fa.labeling, body, &out));
 }
 
+TEST(Store, NineOrdinalSimplexIsAMiss) {
+  // A simplex holds at most 8 vertices; an artifact row listing 9 throws
+  // inside the loader, which must turn it into a miss.
+  const std::string nine = "0,1,2,3,4,5,6,7,8";
+  const Task a = zoo::hourglass();
+  const FingerprintResult fa = fingerprint_task(a);
+  SubdivisionLadder ladder(*a.pool, a.input);
+  std::vector<std::shared_ptr<const SubdividedComplex>> levels{ladder.share(0),
+                                                               ladder.share(1)};
+  std::string ladder_body = io::serialize_ladder_levels(a, fa.labeling, levels);
+  std::vector<SubdividedComplex> loaded;
+  ASSERT_TRUE(io::load_ladder_levels(a, fa.labeling, ladder_body, &loaded));
+  const std::size_t facet = ladder_body.find("\nf ") + 3;
+  ladder_body.replace(facet, ladder_body.find('\n', facet) - facet, nine);
+  EXPECT_FALSE(io::load_ladder_levels(a, fa.labeling, ladder_body, &loaded));
+
+  const Task b = zoo::fig3_running_example();
+  const FingerprintResult fb = fingerprint_task(b);
+  ASSERT_GE(fb.labeling.order.size(), 9u);
+  std::vector<std::pair<Simplex, std::vector<Simplex>>> rows;
+  EXPECT_TRUE(io::load_delta_images(b, fb.labeling,
+                                    "delta-images/1\nrows=1\nd 0 > 0\n", &rows));
+  EXPECT_FALSE(io::load_delta_images(
+      b, fb.labeling, "delta-images/1\nrows=1\nd " + nine + " > 0\n", &rows));
+  EXPECT_FALSE(io::load_delta_images(
+      b, fb.labeling, "delta-images/1\nrows=1\nd 0 > " + nine + "\n", &rows));
+}
+
 TEST(Store, VerdictRecordBudgetRoundTrips) {
   const PipelineReport cold =
       run_pipeline(zoo::consensus_2(), SolvabilityOptions{}).report;

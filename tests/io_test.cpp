@@ -60,6 +60,31 @@ TEST(Io, ParseErrorsCarryLineNumbers) {
   EXPECT_THROW(io::parse_task("task x\nprocesses 2\ninput P0:0 P1:0\n"
                               "delta P0:0 P1:0 P0:1 P1:1\n"),
                io::ParseError);
+  // More vertices than processes: just over, past a Simplex's capacity of 8
+  // and past the old 16-vertex face bound. Each names its line.
+  for (const int count : {4, 12, 17}) {
+    std::string text = "task x\nprocesses 3\ninput";
+    for (int i = 0; i < count; ++i) {
+      text += " P" + std::to_string(i % 3) + ":" + std::to_string(i);
+    }
+    try {
+      io::parse_task(text + "\n");
+      FAIL() << count << " vertices: expected ParseError";
+    } catch (const io::ParseError& e) {
+      EXPECT_EQ(e.line(), 3) << count << " vertices";
+    }
+  }
+  try {
+    io::parse_task("task x\nprocesses 2\ninput P0:0 P1:0\n"
+                   "delta P0:0 P1:0 -> P0:1 P1:1 P0:2\n");
+    FAIL() << "oversized image: expected ParseError";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.line(), 4);
+  }
+  // A repeated vertex is listed once.
+  EXPECT_EQ(io::parse_task("task x\nprocesses 2\ninput P0:0 P1:0 P0:0\n")
+                .input.dimension(),
+            1);
 }
 
 TEST(Io, RoundTripPreservesStructureAndVerdicts) {

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "tasks/zoo.h"
 #include "topology/chromatic.h"
 #include "topology/complex.h"
 #include "topology/simplex.h"
+#include "topology/subdivision.h"
 
 namespace trichroma {
 namespace {
@@ -22,6 +29,43 @@ TEST_F(ComplexTest, SimplexNormalizesSortedUnique) {
   EXPECT_EQ(s.dim(), 2);
   EXPECT_TRUE(s.contains(a));
   EXPECT_EQ(s, (Simplex{a, b, c}));
+}
+
+TEST_F(ComplexTest, SimplexHoldsEightVerticesInline) {
+  std::vector<VertexId> ids;
+  for (int i = 0; i < 9; ++i) ids.push_back(v(static_cast<Color>(i), 0));
+  const std::vector<VertexId> eight(ids.begin(), ids.begin() + 8);
+  const Simplex full(eight);
+  EXPECT_EQ(full.size(), Simplex::kMaxVertices);
+  EXPECT_EQ(full.faces().size(), 255u);
+  EXPECT_THROW(Simplex{ids}, std::length_error);
+  EXPECT_THROW(full.with(ids[8]), std::length_error);
+  EXPECT_EQ(full.with(ids[3]), full);  // already present: no growth
+  // Capacity counts distinct vertices: repeats beyond 8 entries are fine.
+  std::vector<VertexId> repeated = eight;
+  repeated.push_back(ids[0]);
+  EXPECT_EQ(Simplex(repeated), full);
+  const Simplex low(std::vector<VertexId>(ids.begin(), ids.begin() + 5));
+  const Simplex mid(std::vector<VertexId>(ids.begin() + 3, ids.begin() + 8));
+  const Simplex high(std::vector<VertexId>(ids.begin() + 4, ids.end()));
+  EXPECT_EQ(low.unite(mid), full);  // overlapping union of 8
+  EXPECT_THROW(low.unite(high), std::length_error);
+  for (const Simplex& s : {Simplex{}, Simplex{ids[2], ids[0]}, low, full}) {
+    const auto span = s.vertices();
+    EXPECT_EQ(span.size(), s.size());
+    EXPECT_EQ(span.data(), s.begin());
+    EXPECT_TRUE(std::is_sorted(span.begin(), span.end(),
+                               [](VertexId a, VertexId b) { return raw(a) < raw(b); }));
+  }
+}
+
+TEST(SimplexHash, ValuesArePinned) {
+  // Hash-set iteration order, and with it every report byte, depends on
+  // these values.
+  const SimplexHash h;
+  EXPECT_EQ(h(Simplex::single(VertexId{0})), 14813675350809533519ull);
+  EXPECT_EQ(h(Simplex{VertexId{1}, VertexId{2}}), 18111443614409784036ull);
+  EXPECT_EQ(h(Simplex{VertexId{7}, VertexId{3}, VertexId{5}}), 5217400152002284049ull);
 }
 
 TEST_F(ComplexTest, SimplexFacesEnumeration) {
@@ -54,14 +98,53 @@ TEST_F(ComplexTest, AddClosesUnderFaces) {
   EXPECT_EQ(k.euler_characteristic(), 1);
 }
 
+// Reference for SimplicialComplex::facets(): the quadratic pairwise scan,
+// each d-simplex against every (d+1)-simplex.
+std::vector<Simplex> facets_by_pairwise_scan(const SimplicialComplex& k) {
+  std::vector<Simplex> out;
+  for (int d = 0; d <= k.dimension(); ++d) {
+    const std::vector<Simplex> up = k.simplices(d + 1);
+    for (const Simplex& s : k.simplices(d)) {
+      // s is maximal iff no simplex one dimension up contains it.
+      bool maximal = true;
+      for (const Simplex& t : up) {
+        if (t.contains_all(s)) {
+          maximal = false;
+          break;
+        }
+      }
+      if (maximal) out.push_back(s);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST_F(ComplexTest, FacetsAreMaximalSimplices) {
   SimplicialComplex k;
-  const VertexId a = v(0, 0), b = v(1, 0), c = v(2, 0), d = v(0, 1);
+  const VertexId a = v(0, 0), b = v(1, 0), c = v(2, 0), d = v(0, 1), e = v(1, 1);
   k.add(Simplex{a, b, c});
-  k.add(Simplex{b, d});  // pendant edge
+  k.add(Simplex{b, d});       // pendant edge
+  k.add(Simplex::single(e));  // isolated vertex
   const auto facets = k.facets();
-  ASSERT_EQ(facets.size(), 2u);
+  EXPECT_EQ(facets, (std::vector<Simplex>{Simplex{a, b, c}, Simplex{b, d},
+                                          Simplex::single(e)}));
+  EXPECT_EQ(facets, facets_by_pairwise_scan(k));
   EXPECT_FALSE(k.is_pure());
+  EXPECT_TRUE(SimplicialComplex{}.facets().empty());
+}
+
+TEST(ComplexFacets, MatchPairwiseScanOnCatalogAndCh2) {
+  for (const zoo::CatalogEntry& entry : zoo::catalog()) {
+    Task t = entry.build();
+    EXPECT_EQ(t.input.facets(), facets_by_pairwise_scan(t.input)) << entry.name;
+    EXPECT_EQ(t.output.facets(), facets_by_pairwise_scan(t.output)) << entry.name;
+    for (int r = 1; r <= 2; ++r) {
+      const SubdividedComplex level = chromatic_subdivision(*t.pool, t.input, r);
+      EXPECT_EQ(level.complex.facets(), facets_by_pairwise_scan(level.complex))
+          << entry.name << " Ch^" << r;
+    }
+  }
 }
 
 TEST_F(ComplexTest, LinkOfInteriorVertex) {

@@ -89,7 +89,7 @@ SubdividedComplex subdivide_once_reference(VertexPool& pool,
   // by (color, view).
   CompiledComplex::Builder builder;
   for (const Simplex& sigma : prev.complex.all_simplices()) {
-    for (const auto& partition : ordered_partitions(sigma.vertices())) {
+    for (const auto& partition : ordered_partitions({sigma.begin(), sigma.end()})) {
       Simplex view;  // running union B1 ∪ ... ∪ Bj
       std::vector<VertexId> facet_vertices;
       facet_vertices.reserve(sigma.size());

@@ -14,7 +14,10 @@
 //   trichroma version               print version / schema / build type
 //
 // The text format is documented in src/io/task_format.h; `demo` is the
-// quickest way to get a template to edit.
+// quickest way to get a template to edit. `decide`, `synth`, `run` and
+// `split` refuse a task that fails validation (listing each violation as
+// `check` does), with vertex-level monotonicity relaxed so that the T'
+// `split` prints loads again.
 //
 // `decide --cache-dir DIR` (also honored by `batch`) consults and feeds a
 // content-addressed verdict store keyed by the task's canonical fingerprint
@@ -211,6 +214,15 @@ int cmd_check(const Task& task) {
   }
   for (const auto& e : errors) std::printf("ERROR: %s\n", e.c_str());
   return 1;
+}
+
+// Prints the violations that make `task` unfit to decide; true if any.
+// Relaxed as CarrierMap::validate describes: a split task T' breaks
+// vertex-level monotonicity by construction.
+bool reject_invalid(const Task& task) {
+  const auto errors = task.validate(/*relax_vertex_monotonicity=*/true);
+  for (const auto& e : errors) std::printf("ERROR: %s\n", e.c_str());
+  return !errors.empty();
 }
 
 int cmd_version() {
@@ -605,19 +617,21 @@ int main(int argc, char** argv) {
     if (argc < 3) return usage();
     const Task task = load(argv[2]);
     if (command == "check") return cmd_check(task);
-    if (command == "synth") return cmd_synth(task, cli);
-    if (command == "decide") return cmd_decide(task, cli);
     if (command == "fingerprint") return cmd_fingerprint(task);
-    if (command == "split") return cmd_split(task);
     if (command == "dot") {
       if (argc != 4) return usage();
       return cmd_dot(task, argv[3]);
     }
-    if (command == "run") {
-      const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
-      return cmd_run(task, seed);
+    if (command != "synth" && command != "decide" && command != "split" &&
+        command != "run") {
+      return usage();
     }
-    return usage();
+    if (reject_invalid(task)) return 1;
+    if (command == "synth") return cmd_synth(task, cli);
+    if (command == "decide") return cmd_decide(task, cli);
+    if (command == "split") return cmd_split(task);
+    const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
+    return cmd_run(task, seed);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
