@@ -8,7 +8,7 @@
 
 namespace trichroma {
 
-std::vector<LapRecord> find_laps(const Task& task, const Simplex& sigma) {
+std::vector<LapRecord> find_laps(const Simplex& sigma, const std::vector<Simplex>& facets) {
   TRI_SPAN("topology/lap_scan");
   static obs::Counter& scans =
       obs::MetricsRegistry::global().counter("topology.lap_scans");
@@ -17,8 +17,8 @@ std::vector<LapRecord> find_laps(const Task& task, const Simplex& sigma) {
   // One compiled Δ(σ), from its facet list; the per-vertex scans then run
   // over the link bitmasks instead of materializing a SimplicialComplex
   // link each. Locals are in raw-id order, so the records come out in
-  // vertex-id order.
-  const auto image = CompiledComplex::of_facets(task.delta.facet_images(sigma));
+  // vertex-id order, whatever the order of `facets`.
+  const auto image = CompiledComplex::of_facets(facets);
   const auto nv = static_cast<CompiledComplex::Local>(image->num_vertices());
   for (CompiledComplex::Local y = 0; y < nv; ++y) {
     if (image->link_empty(y)) continue;
@@ -26,6 +26,10 @@ std::vector<LapRecord> find_laps(const Task& task, const Simplex& sigma) {
     out.push_back(LapRecord{sigma, image->vertex(y), image->link_components(y)});
   }
   return out;
+}
+
+std::vector<LapRecord> find_laps(const Task& task, const Simplex& sigma) {
+  return find_laps(sigma, task.delta.facet_images(sigma));
 }
 
 std::vector<LapRecord> find_all_laps(const Task& task) {

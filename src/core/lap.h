@@ -23,6 +23,10 @@ struct LapRecord {
   std::vector<std::vector<VertexId>> link_components;
 };
 
+/// All LAPs w.r.t. input facet `sigma` of the complex spanned by `facets`,
+/// the facet list of Δ(σ) in any order, in vertex-id order.
+std::vector<LapRecord> find_laps(const Simplex& sigma, const std::vector<Simplex>& facets);
+
 /// All LAPs of `task` w.r.t. input facet `sigma`, in vertex-id order.
 std::vector<LapRecord> find_laps(const Task& task, const Simplex& sigma);
 

@@ -1,27 +1,11 @@
 #include "core/link_connected.h"
 
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
-#include "topology/graph.h"
-
 namespace trichroma {
-
-namespace {
-
-// The components of lk_{Δ(σ)}(y) in LapRecord::link_components order, built
-// from the facets of Δ(σ) through y without compiling Δ(σ).
-std::vector<std::vector<VertexId>> link_components(const Task& task,
-                                                   const Simplex& sigma, VertexId y) {
-  SimplicialComplex link;
-  for (const Simplex& rho : task.delta.facet_images(sigma)) {
-    if (rho.contains(y)) link.add(rho.without(y));
-  }
-  return connected_components(link);
-}
-
-}  // namespace
 
 LinkConnectedResult make_link_connected(const Task& canonical_task) {
   if (!canonical_task.is_canonical()) {
@@ -38,24 +22,31 @@ LinkConnectedResult make_link_connected(const Task& canonical_task) {
   // other vertex sees y renamed to a single fresh copy. So the scanned LAPs
   // split in vertex-id order are the ones a rescan after every split would
   // pick. The renaming can reorder a later LAP's link components, and that
-  // order numbers the copies, so each LAP's components are re-read from the
-  // current Δ(σ) just before its split.
+  // order numbers the copies, so each LAP's components are re-read from
+  // σ's current row just before its split. The workspace is built at the
+  // first LAP: a task without one pays only for its scans.
+  std::optional<SplitWorkspace> rows;
+  const auto row = [&](const Simplex& sigma) -> const std::vector<Simplex>& {
+    return rows ? rows->row(sigma) : task.delta.facet_images(sigma);
+  };
   const int top = task.input.dimension();
   for (const Simplex& sigma : task.input.simplices(top)) {
-    for (LapRecord& lap : find_laps(task, sigma)) {
-      lap.link_components = link_components(task, sigma, lap.vertex);
+    std::vector<LapRecord> laps = find_laps(sigma, row(sigma));
+    if (!laps.empty() && !rows) rows.emplace(task);
+    for (LapRecord& lap : laps) {
+      lap.link_components = rows->link_components(sigma, lap.vertex);
       if (lap.link_components.size() < 2) {
         throw std::logic_error("make_link_connected: a split removed a later LAP");
       }
-      std::vector<VertexId> copies = split_lap_in_place(task, lap);
+      std::vector<VertexId> copies = rows->split(lap);
       result.history.push_back(SplitEvent{sigma, lap.vertex,
                                           lap.link_components.size(),
                                           std::move(copies)});
     }
-    assert(task.is_link_connected(sigma));
+    assert(is_link_connected(row(sigma)));
   }
-  // The splits rewrote only Δ; O′ is the union of its images.
-  if (!result.history.empty()) task.output = task.delta.reachable_output(task.input);
+  // The splits rewrote only the rows: write them back, then O′ = ∪ Δ′(τ).
+  if (rows) rows->finish();
   return result;
 }
 

@@ -27,8 +27,9 @@ struct LinkConnectedResult {
 /// Applies Theorem 4.3 to a *canonical* task: repeatedly eliminates LAPs
 /// until the task is link-connected. Deterministic: facets in sorted order,
 /// within a facet the smallest LAP vertex first. Each facet is scanned for
-/// LAPs once, every split rewrites Δ in place (split_lap_in_place), and O′
-/// is derived from the final Δ′ once, after the last split.
+/// LAPs once. From the first LAP on, the splits rewire a SplitWorkspace,
+/// whose rows are written back into Δ′, and O′ derived from it, once after
+/// the last split.
 LinkConnectedResult make_link_connected(const Task& canonical_task);
 
 /// Maps an output vertex of the split task back to the output vertex of the

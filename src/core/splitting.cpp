@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <cstdint>
+#include <numeric>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 namespace trichroma {
 
@@ -38,72 +39,169 @@ VertexId split_root(VertexPool& pool, VertexId v) {
   return v;
 }
 
-std::vector<VertexId> split_lap_in_place(Task& task, const LapRecord& lap) {
-  VertexPool& pool = *task.pool;
-  const VertexId y = lap.vertex;
-  const Simplex& sigma = lap.facet;
-  const int r = static_cast<int>(lap.link_components.size());
-  assert(r >= 2);
-
-  // Component index (1-based) of each link vertex.
-  std::unordered_map<VertexId, int, VertexIdHash> component_of;
-  for (int i = 0; i < r; ++i) {
-    for (VertexId z : lap.link_components[static_cast<std::size_t>(i)]) {
-      component_of.emplace(z, i + 1);
-    }
-  }
-
-  std::vector<VertexId> copies;
-  for (int i = 1; i <= r; ++i) copies.push_back(split_copy(pool, y, i));
-  const auto is_copy = [&](VertexId v) {
-    return std::find(copies.begin(), copies.end(), v) != copies.end();
-  };
-
-  // Pass 1: rewire the rows whose images contain y — the only rows the split
-  // changes — except the solo case ρ = {y} on vertices of σ, which needs the
-  // images of the containing simplices and is resolved in pass 2.
-  struct Row {
-    Simplex tau;
-    std::vector<Simplex> images;
-    bool solo = false;
-  };
-  std::vector<Row> rows;
+SplitWorkspace::SplitWorkspace(Task& task) : task_(task) {
+  std::uint32_t lo = UINT32_MAX, hi = 0;
   task.input.for_each([&](const Simplex& tau) {
-    const std::vector<Simplex>& old = task.delta.facet_images(tau);
-    if (std::none_of(old.begin(), old.end(),
-                     [&](const Simplex& rho) { return rho.contains(y); })) {
-      return;
-    }
-    Row& row = rows.emplace_back(Row{tau, {}, false});
-    const bool tau_in_sigma = sigma.contains_all(tau);
-    for (const Simplex& rho : old) {
-      if (!rho.contains(y)) {
-        row.images.push_back(rho);
-        continue;
-      }
-      const Simplex rest = rho.without(y);
-      if (!tau_in_sigma) {
-        // τ ⊄ σ: one rewired facet per copy.
-        for (VertexId yi : copies) row.images.push_back(rest.with(yi));
-      } else if (rest.empty()) {
-        row.solo = true;
-      } else {
-        // All of ρ \ {y} lies in one link component (ρ ∈ Δ(τ) ⊆ Δ(σ), so
-        // ρ \ {y} is a simplex of lk_{Δ(σ)}(y)).
-        auto it = component_of.find(rest[0]);
-        if (it == component_of.end()) {
-          throw std::logic_error("split_lap: link vertex missing a component");
-        }
-        const int i = it->second;
-        for (VertexId z : rest) {
-          if (component_of.at(z) != i) {
-            throw std::logic_error("split_lap: facet straddles link components");
-          }
-        }
-        row.images.push_back(rest.with(copies[static_cast<std::size_t>(i - 1)]));
+    row_of_.emplace(tau, static_cast<std::uint32_t>(rows_.size()));
+    const Row& row = rows_.emplace_back(Row{tau, task.delta.facet_images(tau)});
+    for (const Simplex& rho : row.images) {
+      for (VertexId v : rho) {
+        lo = std::min(lo, raw(v));
+        hi = std::max(hi, raw(v));
       }
     }
   });
+  if (lo > hi) return;  // Δ holds no vertex
+  base_ = lo;
+  holders_.resize(hi - lo + 1);
+  for (std::uint32_t id = 0; id < rows_.size(); ++id) {
+    for (const Simplex& rho : rows_[id].images) {
+      for (VertexId v : rho) add_holder(v, id);
+    }
+  }
+}
+
+std::vector<std::uint32_t>& SplitWorkspace::holders(VertexId v) {
+  assert(raw(v) >= base_ && raw(v) - base_ < holders_.size());
+  return holders_[raw(v) - base_];
+}
+
+void SplitWorkspace::add_holder(VertexId v, std::uint32_t id) {
+  std::vector<std::uint32_t>& list = holders(v);
+  if (list.empty() || list.back() != id) list.push_back(id);
+}
+
+const std::vector<Simplex>& SplitWorkspace::row(const Simplex& tau) const {
+  static const std::vector<Simplex> kNone;
+  const auto it = row_of_.find(tau);
+  return it == row_of_.end() ? kNone : rows_[it->second].images;
+}
+
+std::vector<std::vector<VertexId>> SplitWorkspace::link_components(const Simplex& sigma,
+                                                                   VertexId y) const {
+  const auto by_id = [](VertexId a, VertexId b) { return raw(a) < raw(b); };
+  const std::vector<Simplex>& facets = row(sigma);
+  std::vector<VertexId> link;
+  for (const Simplex& rho : facets) {
+    if (!rho.contains(y)) continue;
+    for (VertexId v : rho) {
+      if (v != y) link.push_back(v);
+    }
+  }
+  std::sort(link.begin(), link.end(), by_id);
+  link.erase(std::unique(link.begin(), link.end()), link.end());
+
+  // Union-find over the link's vertices: each ρ \ {y} is a link simplex,
+  // so its vertices share a component.
+  std::vector<std::uint32_t> parent(link.size());
+  std::iota(parent.begin(), parent.end(), 0u);
+  const auto find = [&](std::uint32_t a) {
+    while (parent[a] != a) a = parent[a] = parent[parent[a]];
+    return a;
+  };
+  const auto local = [&](VertexId v) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(link.begin(), link.end(), v, by_id) - link.begin());
+  };
+  for (const Simplex& rho : facets) {
+    if (!rho.contains(y)) continue;
+    std::uint32_t anchor = UINT32_MAX;  // stays a root while ρ's vertices join it
+    for (VertexId v : rho) {
+      if (v == y) continue;
+      const std::uint32_t root = find(local(v));
+      if (anchor == UINT32_MAX) {
+        anchor = root;
+      } else {
+        parent[root] = anchor;
+      }
+    }
+  }
+
+  // Visiting the vertices in raw-id order sorts each component and orders
+  // the components by their smallest vertex.
+  std::vector<std::vector<VertexId>> components;
+  std::vector<std::uint32_t> component_of_root(link.size(), UINT32_MAX);
+  for (std::uint32_t i = 0; i < link.size(); ++i) {
+    std::uint32_t& c = component_of_root[find(i)];
+    if (c == UINT32_MAX) {
+      c = static_cast<std::uint32_t>(components.size());
+      components.emplace_back();
+    }
+    components[c].push_back(link[i]);
+  }
+  return components;
+}
+
+std::vector<VertexId> SplitWorkspace::split(const LapRecord& lap) {
+  VertexPool& pool = *task_.pool;
+  const VertexId y = lap.vertex;
+  const Simplex& sigma = lap.facet;
+  const std::size_t r = lap.link_components.size();
+  assert(r >= 2);
+
+  // (raw id, 0-based component) of each link vertex, sorted for lookup;
+  // `component` answers r for a vertex outside the link.
+  std::vector<std::pair<std::uint32_t, std::size_t>> component_of;
+  for (std::size_t i = 0; i < r; ++i) {
+    for (VertexId z : lap.link_components[i]) component_of.emplace_back(raw(z), i);
+  }
+  std::sort(component_of.begin(), component_of.end());
+  const auto component = [&](VertexId z) {
+    const auto it = std::lower_bound(component_of.begin(), component_of.end(),
+                                     std::pair{raw(z), std::size_t{0}});
+    return it != component_of.end() && it->first == raw(z) ? it->second : r;
+  };
+
+  std::vector<VertexId> copies;
+  copies.reserve(r);
+  for (std::size_t i = 1; i <= r; ++i) {
+    copies.push_back(split_copy(pool, y, static_cast<int>(i)));
+  }
+  std::uint32_t top = 0;
+  for (VertexId yi : copies) top = std::max(top, raw(yi) - base_);
+  if (top >= holders_.size()) holders_.resize(top + 1);
+
+  // Pass 1: rewire the rows that hold y, the only rows the split changes,
+  // except the solo case ρ = {y} on vertices of σ, which needs the rewired
+  // images of the containing simplices and is resolved in pass 2.
+  const std::vector<std::uint32_t> rows_with_y = std::exchange(holders(y), {});
+  std::vector<std::uint32_t> solo_rows;
+  for (std::uint32_t id : rows_with_y) {
+    Row& row = rows_[id];
+    row.touched = true;
+    const bool tau_in_sigma = sigma.contains_all(row.tau);
+    std::vector<Simplex>& images = row.images;
+    const std::size_t held = images.size();  // facets appended below hold no y
+    for (std::size_t k = 0; k < held; ++k) {
+      if (!images[k].contains(y)) continue;
+      const Simplex rest = images[k].without(y);
+      if (!tau_in_sigma) {
+        // τ ⊄ σ: one rewired facet per copy.
+        images[k] = rest.with(copies[0]);
+        for (std::size_t i = 1; i < r; ++i) images.push_back(rest.with(copies[i]));
+        for (VertexId yi : copies) add_holder(yi, id);
+      } else if (rest.empty()) {
+        // The row of a vertex of σ: {y} is its only facet through y.
+        images.erase(images.begin() + static_cast<std::ptrdiff_t>(k));
+        solo_rows.push_back(id);
+        break;
+      } else {
+        // All of ρ \ {y} lies in one link component (ρ ∈ Δ(τ) ⊆ Δ(σ), so
+        // ρ \ {y} is a simplex of lk_{Δ(σ)}(y)).
+        const std::size_t i = component(rest[0]);
+        if (i == r) {
+          throw std::logic_error("split_lap: link vertex missing a component");
+        }
+        for (VertexId z : rest) {
+          if (component(z) != i) {
+            throw std::logic_error("split_lap: facet straddles link components");
+          }
+        }
+        images[k] = rest.with(copies[i]);
+        add_holder(copies[i], id);
+      }
+    }
+  }
 
   // Pass 2: solo decisions of y on input vertices of σ. The paper keeps
   // "one copy per connected component" available to the solo decider (cf.
@@ -114,16 +212,16 @@ std::vector<VertexId> split_lap_in_place(Task& task, const LapRecord& lap) {
   // this union, and collapsing copies always maps back — at the price of
   // vertex-level monotonicity, which split tasks may violate (as does the
   // paper's own construction). Downstream engines re-derive the effective
-  // per-edge solo constraints themselves.
-  for (Row& row : rows) {
-    if (!row.solo) continue;
-    std::set<VertexId> allowed;
-    for (const Row& other : rows) {
-      if (other.tau == row.tau || !other.tau.contains_all(row.tau)) continue;
-      for (const Simplex& im : other.images) {
-        for (VertexId v : im) {
-          if (is_copy(v)) allowed.insert(v);
-        }
+  // per-edge solo constraints themselves. The copies are fresh, so the rows
+  // holding y_i are exactly the rewired rows whose images contain it.
+  for (std::uint32_t id : solo_rows) {
+    std::vector<VertexId> allowed;
+    for (VertexId yi : copies) {
+      const std::vector<std::uint32_t>& with_yi = holders(yi);
+      if (std::any_of(with_yi.begin(), with_yi.end(), [&](std::uint32_t other) {
+            return other != id && rows_[other].tau.contains_all(rows_[id].tau);
+          })) {
+        allowed.push_back(yi);
       }
     }
     if (allowed.empty()) {
@@ -132,18 +230,28 @@ std::vector<VertexId> split_lap_in_place(Task& task, const LapRecord& lap) {
       throw std::logic_error(
           "split_lap: solo-decided LAP missing from every containing image");
     }
-    for (VertexId yi : allowed) row.images.push_back(Simplex::single(yi));
+    for (VertexId yi : allowed) {
+      rows_[id].images.push_back(Simplex::single(yi));
+      add_holder(yi, id);
+    }
   }
 
-  for (Row& row : rows) task.delta.set(row.tau, std::move(row.images));
-  task.name += "/split(" + pool.name(y) + ")";
+  task_.name += "/split(" + pool.name(y) + ")";
   return copies;
+}
+
+void SplitWorkspace::finish() {
+  for (Row& row : rows_) {
+    if (row.touched) task_.delta.set(row.tau, std::move(row.images));
+  }
+  task_.output = task_.delta.reachable_output(task_.input);
 }
 
 SplitResult split_lap(const Task& task, const LapRecord& lap) {
   SplitResult result{task, lap.vertex, {}};
-  result.copies = split_lap_in_place(result.task, lap);
-  result.task.output = result.task.delta.reachable_output(result.task.input);
+  SplitWorkspace rows(result.task);
+  result.copies = rows.split(lap);
+  rows.finish();
   return result;
 }
 

@@ -16,15 +16,16 @@
 //    (all y_i), since the task being canonical guarantees ρ ∉ Δ(σ).
 //
 // The split is local to the star of y: only the Δ rows whose images
-// contain y change, and split_lap_in_place rewrites exactly those rows.
-// O_y is the union of the rewired images, a function of Δ_y, so the
-// in-place split leaves O to its caller: make_link_connected derives O′
-// once after its last split, and split_lap, the copying form, derives it
-// for its one split. Lemma 4.1: the split strictly decreases the number of
-// LAPs w.r.t. σ and never creates LAPs w.r.t. facets that had none.
-// Lemma 4.2: it preserves solvability in both directions. Both are
-// verified by tests.
+// contain y change. SplitWorkspace holds Δ as rows indexed by the output
+// vertices they hold, so a split visits exactly those rows. O_y is the
+// union of the rewired images, a function of Δ_y, so the workspace derives
+// it once, when it writes its rows back after the last split. Lemma 4.1:
+// the split strictly decreases the number of LAPs w.r.t. σ and never
+// creates LAPs w.r.t. facets that had none. Lemma 4.2: it preserves
+// solvability in both directions. Both are verified by tests.
 
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/lap.h"
@@ -38,17 +39,64 @@ struct SplitResult {
   std::vector<VertexId> copies;  ///< y_1, ..., y_r in component order
 };
 
-/// Rewrites Δ and the name of `task` into those of T_y for `lap`, in
-/// place, and returns the copies y_1, ..., y_r in component order.
-/// `task.output` is left as it was: setting it to
-/// `task.delta.reachable_output(task.input)` is the caller's job, once
-/// after the last split. Preconditions: `task` is canonical
-/// (Task::is_canonical()) and `lap.link_components` are the current
-/// components of lk_{Δ(σ)}(y), ordered as find_laps reports them.
-std::vector<VertexId> split_lap_in_place(Task& task, const LapRecord& lap);
+/// Δ of a canonical task as rows, one per input simplex τ, that a run of
+/// splits rewires in place (Theorem 4.3's loop, or split_lap's one split).
+/// A row's facet list stays unsorted while splits run, and an index from
+/// each output vertex to the rows whose images contain it confines a split
+/// of y to the star of y. finish() writes each touched row back into Δ,
+/// sorting it once, and derives O from the result.
+class SplitWorkspace {
+ public:
+  /// Copies Δ of `task` into rows. `task` is canonical and outlives the
+  /// workspace; splits append to its name and intern copies in its pool.
+  explicit SplitWorkspace(Task& task);
 
-/// Copies `task`, applies split_lap_in_place to the copy and derives the
-/// copy's output complex from its Δ.
+  /// The current facet list of Δ(τ), in no particular order (empty if τ is
+  /// no input simplex).
+  const std::vector<Simplex>& row(const Simplex& tau) const;
+
+  /// The components of lk_{Δ(σ)}(y), read from σ's row, in
+  /// LapRecord::link_components order: each sorted, ordered by smallest
+  /// vertex id.
+  std::vector<std::vector<VertexId>> link_components(const Simplex& sigma,
+                                                     VertexId y) const;
+
+  /// Splits `lap.vertex` w.r.t. `lap.facet`: rewires the rows that hold it
+  /// and returns the copies y_1, ..., y_r in component order.
+  /// Precondition: `lap.link_components` are the current components of
+  /// lk_{Δ(σ)}(y), at least two of them.
+  std::vector<VertexId> split(const LapRecord& lap);
+
+  /// Writes the touched rows back into the task's Δ and sets its output
+  /// complex to ∪ Δ(τ). Call once, after the last split.
+  void finish();
+
+ private:
+  struct Row {
+    Simplex tau;
+    std::vector<Simplex> images;
+    bool touched = false;
+  };
+
+  /// The rows whose images contain `v`.
+  std::vector<std::uint32_t>& holders(VertexId v);
+  /// Records that row `id` holds `v`. Rows are rewired one at a time, so a
+  /// row already recorded is the list's last entry.
+  void add_holder(VertexId v, std::uint32_t id);
+
+  Task& task_;
+  std::vector<Row> rows_;
+  std::unordered_map<Simplex, std::uint32_t, SimplexHash> row_of_;
+  /// holders_[raw(v) - base_]. Every vertex a row holds is interned at or
+  /// after base_, the smallest id in Δ, split copies included: a copy of y
+  /// is interned after y.
+  std::vector<std::vector<std::uint32_t>> holders_;
+  std::uint32_t base_ = 0;
+};
+
+/// Copies `task`, splits `lap` in the copy through a SplitWorkspace and
+/// derives the copy's output complex from its Δ. Preconditions as for
+/// SplitWorkspace::split.
 SplitResult split_lap(const Task& task, const LapRecord& lap);
 
 /// Interns the i-th split copy (1-based) of `y`: (color(y), ("split", raw(y), i)).

@@ -73,13 +73,13 @@ bool Task::is_canonical() const {
 bool Task::is_link_connected() const {
   const int top = input.dimension();
   for (const Simplex& sigma : input.simplices(top)) {
-    if (!is_link_connected(sigma)) return false;
+    if (!trichroma::is_link_connected(delta.facet_images(sigma))) return false;
   }
   return true;
 }
 
-bool Task::is_link_connected(const Simplex& sigma) const {
-  const auto image = CompiledComplex::of_facets(delta.facet_images(sigma));
+bool is_link_connected(const std::vector<Simplex>& facets) {
+  const auto image = CompiledComplex::of_facets(facets);
   const auto nv = static_cast<CompiledComplex::Local>(image->num_vertices());
   for (CompiledComplex::Local y = 0; y < nv; ++y) {
     if (!image->link_empty(y) && !image->link_connected(y)) return false;

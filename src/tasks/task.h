@@ -41,12 +41,14 @@ struct Task {
   /// lk_{Δ(σ)}(y) is connected — i.e. the task has no local articulation
   /// points (Section 4).
   bool is_link_connected() const;
-  /// The same for one input facet σ: no LAP w.r.t. σ.
-  bool is_link_connected(const Simplex& sigma) const;
 
   /// Human-readable structural summary.
   std::string summary() const;
 };
+
+/// True iff every vertex of the complex spanned by `facets` has a connected
+/// or empty link. For the facet list of Δ(σ): no LAP w.r.t. σ.
+bool is_link_connected(const std::vector<Simplex>& facets);
 
 /// Deep copy of `task` into a fresh VertexPool, preserving every id: the
 /// source pool's values and vertices are replayed into the new pool in id

@@ -20,6 +20,20 @@ void SimplicialComplex::add(const Simplex& s) {
   if (contains(s)) return;
   const auto d = static_cast<std::size_t>(s.dim());
   if (by_dim_.size() <= d) by_dim_.resize(d + 1);
+  if (s.size() == 3) {
+    // A face already held brings its own faces (closure), so a vertex can
+    // be new only if one of its two edges is. Each level receives its new
+    // faces in the order faces() lists them, which keeps its iteration order.
+    const VertexId a = s[0], b = s[1], c = s[2];
+    by_dim_[2].insert(s);
+    const bool ab = by_dim_[1].insert(Simplex{a, b}).second;
+    const bool ac = by_dim_[1].insert(Simplex{a, c}).second;
+    const bool bc = by_dim_[1].insert(Simplex{b, c}).second;
+    if (ab || ac) by_dim_[0].insert(Simplex::single(a));
+    if (ab || bc) by_dim_[0].insert(Simplex::single(b));
+    if (ac || bc) by_dim_[0].insert(Simplex::single(c));
+    return;
+  }
   for (const Simplex& face : s.faces()) {
     by_dim_[static_cast<std::size_t>(face.dim())].insert(face);
   }

@@ -1,12 +1,15 @@
 // Differential oracle for the incremental split. make_link_connected
-// splits in place (split_lap_in_place) and scans each input facet for LAPs
-// once. The implementation it replaced rebuilt the whole task after every
-// split and rescanned Δ(σ) for its smallest LAP. That implementation lives
-// on here, and the two must agree exactly: the same split history (facet,
-// vertex, component count, copies), the same T′ (name, output complex, Δ
-// rows) and the same vertex-pool size, hence the same vertex ids. The sweep
-// covers the zoo catalog and seeded random draws over every combination of
-// 1–4 input facets, 2–4 output values per color and restricted faces on/off.
+// splits on a SplitWorkspace, rewiring only the rows that hold the split
+// vertex, and scans each input facet for LAPs once. The implementation it
+// replaced rebuilt the whole task after every split and rescanned Δ(σ) for
+// its smallest LAP. That implementation lives on here, and the two must
+// agree exactly: the same split history (facet, vertex, component count,
+// copies), the same T′ (name, output complex, Δ rows) and the same
+// vertex-pool size, hence the same vertex ids. The copying split_lap must
+// agree with one rebuild on every LAP of T*'s first facet in the same way.
+// The sweep covers the zoo catalog and seeded random draws over every
+// combination of 1–4 input facets, 2–4 output values per color and
+// restricted faces on/off.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/lap.h"
 #include "core/link_connected.h"
 #include "core/splitting.h"
 #include "tasks/canonical.h"
@@ -169,10 +173,52 @@ LinkConnectedResult rescan_make_link_connected(const Task& canonical_task) {
   return result;
 }
 
+// Which kinds of Δ row the copying-form splits rewired, summed over a sweep.
+struct RowKinds {
+  std::size_t splits = 0;
+  std::size_t solo = 0;     ///< splits whose y is a solo image {y} on a vertex of σ
+  std::size_t outside = 0;  ///< splits whose y is held by a row τ ⊄ σ
+};
+
+// Splits every LAP of T*'s first facet once, through split_lap and through
+// rebuild_split_lap, each on its own clone of T*.
+void expect_same_single_splits(const Task& canonical, const std::string& label,
+                               RowKinds& kinds) {
+  const int top = canonical.input.dimension();
+  if (top < 0) return;
+  const Simplex sigma = canonical.input.simplices(top).front();
+  for (const LapRecord& lap : find_laps(canonical, sigma)) {
+    const std::string at = label + " split of " + canonical.pool->name(lap.vertex);
+    const Task oracle_input = clone_task(canonical);
+    const Task fresh_input = clone_task(canonical);
+    const SplitResult oracle = rebuild_split_lap(oracle_input, lap);
+    const SplitResult fresh = split_lap(fresh_input, lap);
+    EXPECT_EQ(oracle.copies, fresh.copies) << at;
+    EXPECT_EQ(oracle.task.name, fresh.task.name) << at;
+    EXPECT_TRUE(oracle.task.output == fresh.task.output) << at;
+    EXPECT_TRUE(oracle.task.delta == fresh.task.delta) << at;
+    EXPECT_EQ(oracle_input.pool->size(), fresh_input.pool->size()) << at;
+
+    ++kinds.splits;
+    bool solo = false, outside = false;
+    canonical.input.for_each([&](const Simplex& tau) {
+      for (const Simplex& rho : canonical.delta.facet_images(tau)) {
+        if (!rho.contains(lap.vertex)) continue;
+        if (!sigma.contains_all(tau)) outside = true;
+        if (rho.size() == 1 && sigma.contains_all(tau)) solo = true;
+      }
+    });
+    kinds.solo += solo ? 1 : 0;
+    kinds.outside += outside ? 1 : 0;
+  }
+}
+
 // Runs both implementations on separate clones of canonicalize(task), so
-// each interns its copies into its own pool from the same starting ids.
-// Returns the number of splits compared.
-std::size_t expect_same_transform(const Task& task, const std::string& label) {
+// each interns its copies into its own pool from the same starting ids,
+// then compares the copying form's single splits of T*. Returns the number
+// of make_link_connected splits compared.
+std::size_t expect_same_transform(const Task& task, const std::string& label,
+                                  RowKinds& kinds) {
   const Task canonical = canonicalize(task);
   const Task oracle_input = clone_task(canonical);
   const Task fresh_input = clone_task(canonical);
@@ -197,16 +243,21 @@ std::size_t expect_same_transform(const Task& task, const std::string& label) {
   EXPECT_EQ(oracle_input.pool->size(), fresh_input.pool->size()) << label;
   EXPECT_EQ(oracle_input.pool->values().size(), fresh_input.pool->values().size())
       << label;
+  expect_same_single_splits(canonical, label, kinds);
   return splits;
 }
 
 TEST(SplitOracle, CatalogMatchesRebuildPerSplit) {
   std::size_t split_tasks = 0;
+  RowKinds kinds;
   for (const zoo::CatalogEntry& entry : zoo::catalog()) {
-    if (expect_same_transform(entry.build(), entry.name) > 0) ++split_tasks;
+    if (expect_same_transform(entry.build(), entry.name, kinds) > 0) ++split_tasks;
   }
-  // The sweep must exercise splitting, not just pass through clean tasks.
+  // The sweep must exercise splitting, not just pass through clean tasks,
+  // and the copying form must rewire solo rows and rows τ ⊄ σ.
   EXPECT_GE(split_tasks, 5u);
+  EXPECT_GT(kinds.solo, 0u);
+  EXPECT_GT(kinds.outside, 0u);
 }
 
 // (input facets, output values per color, restricted faces)
@@ -221,6 +272,7 @@ class SplitOracleRandom : public ::testing::TestWithParam<DrawShape> {};
 TEST_P(SplitOracleRandom, SeededDrawsMatchRebuildPerSplit) {
   const auto [facets, values, restricted] = GetParam();
   std::size_t splits = 0;
+  RowKinds kinds;
   for (std::uint64_t seed = 0; seed < 8 && splits < 100; ++seed) {
     zoo::RandomTaskParams params;
     params.num_input_facets = facets;
@@ -229,9 +281,11 @@ TEST_P(SplitOracleRandom, SeededDrawsMatchRebuildPerSplit) {
     params.seed = 7919 * seed + 100 * static_cast<std::uint64_t>(facets) +
                   10 * static_cast<std::uint64_t>(values) + (restricted ? 1 : 0);
     const Task task = zoo::random_task(params);
-    splits += expect_same_transform(task, task.name + " seed " + std::to_string(params.seed));
+    splits += expect_same_transform(
+        task, task.name + " seed " + std::to_string(params.seed), kinds);
   }
   EXPECT_GT(splits, 0u);
+  EXPECT_GT(kinds.splits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

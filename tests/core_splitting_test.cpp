@@ -5,14 +5,29 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "core/characterization.h"
 #include "core/link_connected.h"
 #include "core/splitting.h"
+#include "io/task_format.h"
 #include "tasks/canonical.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
 
 namespace trichroma {
 namespace {
+
+std::string read_golden(const std::string& name) {
+  const std::string path = std::string(TRICHROMA_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 TEST(Splitting, SplitCopyRoundTrip) {
   VertexPool pool;
@@ -147,6 +162,26 @@ TEST(Splitting, SplitRewiringRespectsComponents) {
       }
     }
   });
+}
+
+TEST(Splitting, SplitTasksMatchGoldenFiles) {
+  // characterize's report followed by T′ in the task format, as `trichroma
+  // split` prints them: the files pin the split history, copy numbering,
+  // vertex names and every Δ′ row of the catalog's pinwheel (6 splits) and
+  // its split-heaviest task (42 splits).
+  struct Case {
+    Task (*build)();
+    const char* golden;
+    std::size_t splits;
+  };
+  for (const Case& c : {Case{zoo::pinwheel, "pinwheel_split.txt", 6},
+                        Case{zoo::majority_consensus, "majority_consensus_split.txt", 42}}) {
+    const Task task = c.build();
+    const CharacterizationResult result = characterize(task);
+    EXPECT_EQ(result.splits.size(), c.splits) << c.golden;
+    EXPECT_EQ(result.report(*task.pool) + "\n" + io::serialize_task(result.link_connected),
+              read_golden(c.golden));
+  }
 }
 
 TEST(Splitting, RequiresCanonicalTask) {

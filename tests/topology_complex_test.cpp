@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "core/characterization.h"
 #include "tasks/zoo.h"
 #include "topology/chromatic.h"
 #include "topology/complex.h"
@@ -144,6 +146,106 @@ TEST(ComplexFacets, MatchPairwiseScanOnCatalogAndCh2) {
       EXPECT_EQ(level.complex.facets(), facets_by_pairwise_scan(level.complex))
           << entry.name << " Ch^" << r;
     }
+  }
+}
+
+// SimplicialComplex::add as it inserts every face: each face of a new
+// simplex goes into its level, in faces() order. It is the oracle for the
+// per-level iteration order of add, which skips faces a complex already
+// holds; hash-set iteration order reaches every report byte.
+struct AllFacesLevels {
+  std::vector<std::unordered_set<Simplex, SimplexHash>> by_dim;
+
+  void add(const Simplex& s) {
+    const auto d = static_cast<std::size_t>(s.dim());
+    if (d < by_dim.size() && by_dim[d].count(s) > 0) return;
+    if (by_dim.size() <= d) by_dim.resize(d + 1);
+    for (const Simplex& face : s.faces()) {
+      by_dim[static_cast<std::size_t>(face.dim())].insert(face);
+    }
+  }
+};
+
+using Levels = std::vector<std::vector<Simplex>>;
+
+Levels levels_of(const SimplicialComplex& k) {
+  Levels out;
+  k.for_each([&](const Simplex& s) {
+    const auto d = static_cast<std::size_t>(s.dim());
+    if (out.size() <= d) out.resize(d + 1);
+    out[d].push_back(s);
+  });
+  return out;
+}
+
+Levels levels_of(const AllFacesLevels& k) {
+  Levels out;
+  for (const auto& level : k.by_dim) out.emplace_back(level.begin(), level.end());
+  return out;
+}
+
+// Adds `sequence` to a complex and to the oracle; every level must hold the
+// same simplices in the same iteration order.
+void expect_same_levels(const std::vector<Simplex>& sequence, const std::string& label) {
+  SimplicialComplex k;
+  AllFacesLevels oracle;
+  for (const Simplex& s : sequence) {
+    k.add(s);
+    oracle.add(s);
+  }
+  EXPECT_EQ(levels_of(k), levels_of(oracle)) << label;
+}
+
+// Two add sequences over the simplices of `k`: its facets in sorted order,
+// and every simplex top level first, each level in iteration order.
+void expect_same_levels_over(const SimplicialComplex& k, const std::string& label) {
+  expect_same_levels(k.facets(), label + " facets");
+  std::vector<Simplex> top_down;
+  const Levels levels = levels_of(k);
+  for (auto level = levels.rbegin(); level != levels.rend(); ++level) {
+    top_down.insert(top_down.end(), level->begin(), level->end());
+  }
+  expect_same_levels(top_down, label + " top down");
+}
+
+// reachable_output's own add sequence, replayed into the oracle: the
+// library's ∪ Δ(τ) must iterate exactly as the oracle's.
+void expect_reachable_output_matches(const Task& t, const std::string& label) {
+  AllFacesLevels oracle;
+  t.input.for_each([&](const Simplex& tau) {
+    for (const Simplex& f : t.delta.facet_images(tau)) oracle.add(f);
+  });
+  EXPECT_EQ(levels_of(t.delta.reachable_output(t.input)), levels_of(oracle)) << label;
+}
+
+TEST(ComplexAdd, MatchesAllFacesLoopOnCatalogAndCh2) {
+  for (const zoo::CatalogEntry& entry : zoo::catalog()) {
+    const Task t = entry.build();
+    const std::string name = entry.name;
+    const CharacterizationResult c = characterize(t);
+    expect_same_levels_over(t.output, name + " O");
+    expect_same_levels_over(c.link_connected.output, name + " O'");
+    expect_reachable_output_matches(t, name + " O");
+    expect_reachable_output_matches(c.canonical, name + " T*");
+    expect_reachable_output_matches(c.link_connected, name + " O'");
+    for (int r = 1; r <= 2; ++r) {
+      const SubdividedComplex level = chromatic_subdivision(*t.pool, t.input, r);
+      expect_same_levels_over(level.complex, name + " Ch^" + std::to_string(r));
+    }
+  }
+}
+
+TEST(ComplexAdd, ReachableOutputMatchesAllFacesLoopOnSeededDraws) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    zoo::RandomTaskParams params;
+    params.num_input_facets = 1 + static_cast<int>(seed % 4);
+    params.output_values_per_color = 2 + static_cast<int>(seed % 3);
+    params.restricted_faces = seed % 2 == 0;
+    params.seed = seed;
+    const Task t = zoo::random_task(params);
+    const std::string label = t.name + " seed " + std::to_string(seed);
+    expect_reachable_output_matches(t, label);
+    expect_reachable_output_matches(characterize(t).link_connected, label + " T'");
   }
 }
 
