@@ -2,122 +2,178 @@
 
 #include <algorithm>
 #include <array>
-#include <tuple>
+#include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
+#include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/lap.h"
+#include "topology/compiled.h"
 #include "topology/graph.h"
 #include "topology/homology.h"
+
+// Every engine reads Δ as facet lists (delta.facet_images), never as a
+// hash-set image complex: vertex lists are sorted facet vertices, components
+// a union-find over a facet list, and the homology check's paths and spans
+// the compiled edge images and the facet-list BoundarySpan.
 
 namespace trichroma {
 
 namespace {
 
+bool by_id(VertexId a, VertexId b) { return raw(a) < raw(b); }
+
+/// The vertices of Δ(τ) sorted by id: the vertex_ids() of its closure.
+std::vector<VertexId> image_vertices(const Task& task, const Simplex& tau) {
+  std::vector<VertexId> out;
+  for (const Simplex& f : task.delta.facet_images(tau)) {
+    out.insert(out.end(), f.begin(), f.end());
+  }
+  std::sort(out.begin(), out.end(), by_id);
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// The input vertices in id order, each with the vertices of its solo image
+/// Δ({x}), computed once per input vertex.
+struct SoloImages {
+  std::vector<VertexId> inputs;
+  std::vector<std::vector<VertexId>> values;
+
+  explicit SoloImages(const Task& task) : inputs(task.input.vertex_ids()) {
+    for (VertexId x : inputs) values.push_back(image_vertices(task, Simplex::single(x)));
+  }
+  /// Index of the input vertex `x`.
+  std::size_t index(VertexId x) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(inputs.begin(), inputs.end(), x, by_id) - inputs.begin());
+  }
+};
+
 /// Node of a LAP-split graph: an output vertex together with a copy index
 /// (0 for non-LAP vertices, 1-based link-component index for LAPs).
 using SplitNode = std::pair<VertexId, int>;
 
-/// Per-facet LAP component lookup: lap vertex y → (link vertex z → 1-based
-/// index of the component of lk_{Δ(σ)}(y) containing z).
-using LapComponents =
-    std::unordered_map<VertexId, std::unordered_map<VertexId, int, VertexIdHash>,
-                       VertexIdHash>;
+/// The LAPs w.r.t. one input facet σ, in vertex-id order, each with its
+/// link as a table of (link vertex, 1-based component) pairs sorted by
+/// vertex.
+struct FacetLaps {
+  std::vector<VertexId> vertices;
+  std::vector<std::vector<std::pair<std::uint32_t, int>>> links;
 
-LapComponents lap_components(const Task& task, const Simplex& sigma) {
-  LapComponents out;
-  for (const LapRecord& lap : find_laps(task, sigma)) {
-    auto& comp = out[lap.vertex];
-    for (std::size_t i = 0; i < lap.link_components.size(); ++i) {
-      for (VertexId z : lap.link_components[i]) {
-        comp.emplace(z, static_cast<int>(i + 1));
+  FacetLaps(const Task& task, const Simplex& sigma) {
+    for (const LapRecord& lap : find_laps(task, sigma)) {
+      vertices.push_back(lap.vertex);
+      auto& link = links.emplace_back();
+      for (std::size_t i = 0; i < lap.link_components.size(); ++i) {
+        for (VertexId z : lap.link_components[i]) {
+          link.emplace_back(raw(z), static_cast<int>(i + 1));
+        }
       }
+      std::sort(link.begin(), link.end());
     }
   }
-  return out;
-}
 
-/// Union-find over split nodes, built from the edges of a 1-complex with
-/// every LAP "virtually split" per link component: traversing a LAP is only
-/// possible within one component, which models crossing-free paths.
+  bool empty() const { return vertices.empty(); }
+
+  /// The node of `v` on its edge to `neighbor`: copy 0 unless `v` is a LAP,
+  /// else the component of `neighbor` in v's link. A neighbor outside the
+  /// link (Δ not monotone) throws std::out_of_range.
+  SplitNode resolve(VertexId v, VertexId neighbor) const {
+    const auto it = std::lower_bound(vertices.begin(), vertices.end(), v, by_id);
+    if (it == vertices.end() || *it != v) return {v, 0};
+    const auto& link = links[static_cast<std::size_t>(it - vertices.begin())];
+    const auto at = std::lower_bound(link.begin(), link.end(), std::pair{raw(neighbor), 0});
+    if (at == link.end() || at->first != raw(neighbor)) {
+      throw std::out_of_range("LAP-split graph: an edge leaves the LAP's link");
+    }
+    return {v, at->second};
+  }
+};
+
+/// The closure of a facet list with every LAP "virtually split" per link
+/// component: traversing a LAP is only possible within one component, which
+/// models crossing-free paths. The nodes are the sorted (vertex, copy)
+/// pairs resolved from the edges, plus a neutral copy 0 for each vertex
+/// without edges, joined by a union-find.
 class SplitGraph {
  public:
-  SplitGraph(const SimplicialComplex& k, const LapComponents& laps) {
-    for (const Simplex& e : k.simplices(1)) {
-      const SplitNode a = resolve(e[0], e[1], laps);
-      const SplitNode b = resolve(e[1], e[0], laps);
-      unite(index(a), index(b));
-      ++edges_;
+  SplitGraph(const std::vector<Simplex>& facets, const FacetLaps& laps) : sets_(0) {
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    std::vector<VertexId> vertices;
+    for (const Simplex& f : facets) {
+      vertices.insert(vertices.end(), f.begin(), f.end());
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        for (std::size_t j = i + 1; j < f.size(); ++j) edges.emplace_back(f[i], f[j]);
+      }
     }
-    // Isolated vertices (no incident edges) still need nodes so endpoint
-    // queries succeed; a LAP isolated in `k` gets a single neutral copy.
-    for (VertexId v : k.vertex_ids()) {
-      copies_of(v);
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    std::sort(vertices.begin(), vertices.end(), by_id);
+    vertices.erase(std::unique(vertices.begin(), vertices.end()), vertices.end());
+
+    std::vector<std::pair<SplitNode, SplitNode>> joins;
+    std::vector<VertexId> ends;
+    for (const auto& [u, v] : edges) {
+      const auto& [a, b] = joins.emplace_back(laps.resolve(u, v), laps.resolve(v, u));
+      nodes_.insert(nodes_.end(), {a, b});
+      ends.insert(ends.end(), {u, v});
     }
+    std::sort(ends.begin(), ends.end(), by_id);
+    std::vector<VertexId> isolated;
+    std::set_difference(vertices.begin(), vertices.end(), ends.begin(), ends.end(),
+                        std::back_inserter(isolated), by_id);
+    for (VertexId v : isolated) nodes_.emplace_back(v, 0);
+    std::sort(nodes_.begin(), nodes_.end());
+    nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+    sets_ = UnionFind(nodes_.size());
+    for (const auto& [a, b] : joins) sets_.unite(index(a), index(b));
+    edges_ = edges.size();
   }
 
-  /// All copies of `v` present in the graph.
-  std::vector<SplitNode> copies_of(VertexId v) {
-    std::vector<SplitNode> out;
-    for (auto& [node, idx] : nodes_) {
-      (void)idx;
-      if (node.first == v) out.push_back(node);
-    }
-    if (out.empty()) {
-      index(SplitNode{v, 0});
-      out.push_back(SplitNode{v, 0});
-    }
-    return out;
+  /// The indices [first, last) of the copies of `v`; empty if `v` is no
+  /// vertex of the graph.
+  std::pair<std::uint32_t, std::uint32_t> copies_of(VertexId v) const {
+    const auto lo = std::lower_bound(nodes_.begin(), nodes_.end(), SplitNode{v, 0});
+    auto hi = lo;
+    while (hi != nodes_.end() && hi->first == v) ++hi;
+    return {static_cast<std::uint32_t>(lo - nodes_.begin()),
+            static_cast<std::uint32_t>(hi - nodes_.begin())};
   }
 
+  const SplitNode& node(std::uint32_t i) const { return nodes_[i]; }
+  std::uint32_t root(std::uint32_t i) { return sets_.find(i); }
+
+  /// True iff `a` and `b` are joined. A node the graph lacks stands alone,
+  /// so it is joined only to itself.
   bool connected(const SplitNode& a, const SplitNode& b) {
-    return find(index(a)) == find(index(b));
+    const std::uint32_t i = index(a), j = index(b);
+    if (i == nodes_.size() || j == nodes_.size()) return a == b;
+    return sets_.find(i) == sets_.find(j);
   }
 
   /// Number of independent cycles: E - N + C.
   long long cycle_rank() {
-    std::vector<int> roots;
-    for (auto& [node, idx] : nodes_) {
-      (void)node;
-      roots.push_back(find(idx));
-    }
-    std::sort(roots.begin(), roots.end());
-    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+    long long components = 0;
+    for (std::uint32_t i = 0; i < nodes_.size(); ++i) components += sets_.find(i) == i;
     return static_cast<long long>(edges_) - static_cast<long long>(nodes_.size()) +
-           static_cast<long long>(roots.size());
+           components;
   }
 
  private:
-  static SplitNode resolve(VertexId v, VertexId neighbor, const LapComponents& laps) {
-    auto it = laps.find(v);
-    if (it == laps.end()) return {v, 0};
-    return {v, it->second.at(neighbor)};
+  /// Index of `n` in nodes_, or nodes_.size() if absent.
+  std::uint32_t index(const SplitNode& n) const {
+    const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), n);
+    return static_cast<std::uint32_t>(it != nodes_.end() && *it == n ? it - nodes_.begin()
+                                                                     : nodes_.size());
   }
 
-  int index(const SplitNode& n) {
-    auto it = nodes_.find(n);
-    if (it != nodes_.end()) return it->second;
-    const int idx = static_cast<int>(parent_.size());
-    parent_.push_back(idx);
-    nodes_.emplace(n, idx);
-    return idx;
-  }
-
-  int find(int i) {
-    while (parent_[static_cast<std::size_t>(i)] != i) {
-      parent_[static_cast<std::size_t>(i)] =
-          parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(i)])];
-      i = parent_[static_cast<std::size_t>(i)];
-    }
-    return i;
-  }
-
-  void unite(int a, int b) { parent_[static_cast<std::size_t>(find(a))] = find(b); }
-
-  std::map<SplitNode, int> nodes_;
-  std::vector<int> parent_;
+  std::vector<SplitNode> nodes_;  // sorted
+  UnionFind sets_;
   std::size_t edges_ = 0;
 };
 
@@ -126,24 +182,31 @@ class SplitGraph {
 CorollaryResult corollary_5_5(const Task& task) {
   const VertexPool& pool = *task.pool;
   const int top = task.input.dimension();
+  const SoloImages solo(task);
   for (const Simplex& sigma : task.input.simplices(top)) {
-    const LapComponents laps = lap_components(task, sigma);
+    const FacetLaps laps(task, sigma);
     for (const Simplex& e : sigma.faces()) {
       if (e.dim() != 1) continue;
-      const VertexId x = e[0], xp = e[1];
-      SplitGraph graph(task.delta.image_complex(e), laps);
-      bool some_pair_connected = false;
-      for (VertexId y : task.delta.image_complex(Simplex::single(x)).vertex_ids()) {
-        for (VertexId yp :
-             task.delta.image_complex(Simplex::single(xp)).vertex_ids()) {
-          for (const SplitNode& a : graph.copies_of(y)) {
-            for (const SplitNode& b : graph.copies_of(yp)) {
-              if (graph.connected(a, b)) some_pair_connected = true;
-            }
-          }
+      SplitGraph graph(task.delta.facet_images(e), laps);
+      // The components reached by the copies of Δ({x})'s vertices. A vertex
+      // outside Δ(e) (split tasks relax vertex-level monotonicity) is a
+      // node of its own, so its key matches only the same vertex reached
+      // from Δ({x′}), which a colorless task can have.
+      const auto reached = [&](VertexId x) {
+        std::vector<std::uint64_t> keys;
+        for (VertexId y : solo.values[solo.index(x)]) {
+          const auto [first, last] = graph.copies_of(y);
+          if (first == last) keys.push_back((std::uint64_t{1} << 32) | raw(y));
+          for (std::uint32_t i = first; i < last; ++i) keys.push_back(graph.root(i));
         }
-      }
-      if (!some_pair_connected) {
+        std::sort(keys.begin(), keys.end());
+        return keys;
+      };
+      const std::vector<std::uint64_t> from = reached(e[0]), to = reached(e[1]);
+      std::vector<std::uint64_t> shared;
+      std::set_intersection(from.begin(), from.end(), to.begin(), to.end(),
+                            std::back_inserter(shared));
+      if (shared.empty()) {
         CorollaryResult result;
         result.fires = true;
         result.detail = "facet " + sigma.to_string(pool) + ", edge " +
@@ -164,16 +227,17 @@ CorollaryResult corollary_5_6(const Task& task) {
   const Simplex& sigma = facets.front();
   const VertexPool& pool = *task.pool;
 
-  const LapComponents laps = lap_components(task, sigma);
+  const FacetLaps laps(task, sigma);
   if (laps.empty()) return {};
 
   // Δ(Skel¹σ): the union of the edge images.
-  SimplicialComplex skel_image;
   std::vector<Simplex> edges;
+  std::vector<Simplex> skel_image;
   for (const Simplex& e : sigma.faces()) {
     if (e.dim() == 1) {
       edges.push_back(e);
-      skel_image.add_all(task.delta.image_complex(e));
+      const auto& image = task.delta.facet_images(e);
+      skel_image.insert(skel_image.end(), image.begin(), image.end());
     }
   }
   SplitGraph whole(skel_image, laps);
@@ -186,14 +250,15 @@ CorollaryResult corollary_5_6(const Task& task) {
   std::vector<SplitGraph> edge_graphs;
   edge_graphs.reserve(edges.size());
   for (const Simplex& e : edges) {
-    edge_graphs.emplace_back(task.delta.image_complex(e), laps);
+    edge_graphs.emplace_back(task.delta.facet_images(e), laps);
   }
   std::vector<std::vector<SplitNode>> corner_choices;
   for (VertexId x : sigma) {
     std::vector<SplitNode> choices;
-    for (VertexId y : task.delta.image_complex(Simplex::single(x)).vertex_ids()) {
-      auto copies = whole.copies_of(y);
-      choices.insert(choices.end(), copies.begin(), copies.end());
+    for (VertexId y : image_vertices(task, Simplex::single(x))) {
+      const auto [first, last] = whole.copies_of(y);
+      if (first == last) choices.emplace_back(y, 0);  // outside Δ(Skel¹σ)
+      for (std::uint32_t i = first; i < last; ++i) choices.push_back(whole.node(i));
     }
     corner_choices.push_back(std::move(choices));
   }
@@ -230,87 +295,76 @@ namespace {
 
 /// Shared enumeration machinery for the corner-assignment engines. Calls
 /// `accept` once per assignment that satisfies all per-edge connectivity
-/// constraints; stops early if `accept` returns true.
+/// constraints; stops early if `accept` returns true. An assignment picks
+/// for each input vertex an index into its domain, the sorted vertices of
+/// its solo image.
 struct CornerSearch {
-  const Task& task;
-  std::vector<VertexId> inputs;                 // input vertices, fixed order
-  std::vector<std::vector<VertexId>> domains;   // Δ(x) vertices per input
-  // Per input edge: its endpoints' input indices, the image complex and
-  // each image vertex's component id.
+  using Pick = std::vector<std::size_t>;
+
+  SoloImages solo;  // the inputs in id order and their domains
+  // Per input edge: its endpoints' input indices and, for each domain value
+  // of either endpoint, its component in the edge's image, or -1 when the
+  // image does not hold it.
   struct EdgeInfo {
     Simplex edge;
     std::size_t a = 0, b = 0;  // input indices of edge[0] and edge[1]
-    SimplicialComplex image;
-    std::unordered_map<VertexId, int, VertexIdHash> component;
-    /// The image's oriented cycle basis; the homology check fills it on
-    /// first use.
-    std::optional<std::vector<OrientedChain>> cycles;
+    std::vector<std::int32_t> component_a, component_b;
   };
   std::vector<EdgeInfo> edge_infos;
   // edges_touching[i] = indices into edge_infos of edges whose *second*
-  // endpoint (in input order) is inputs[i].
+  // endpoint (in input order) is solo.inputs[i].
   std::vector<std::vector<std::size_t>> edges_touching;
 
   std::size_t nodes_explored = 0;
   std::size_t node_cap = kDefaultCornerNodeCap;
   bool exhausted = true;
 
-  explicit CornerSearch(const Task& t) : task(t) {
-    inputs = task.input.vertex_ids();
-    std::unordered_map<VertexId, std::size_t, VertexIdHash> input_index;
-    for (std::size_t i = 0; i < inputs.size(); ++i) input_index.emplace(inputs[i], i);
-    for (VertexId x : inputs) {
-      domains.push_back(
-          task.delta.image_complex(Simplex::single(x)).vertex_ids());
-    }
+  explicit CornerSearch(const Task& task) : solo(task) {
     for (const Simplex& e : task.input.simplices(1)) {
       EdgeInfo info;
       info.edge = e;
-      info.a = input_index.at(e[0]);
-      info.b = input_index.at(e[1]);
-      info.image = task.delta.image_complex(e);
-      const auto comps = connected_components(info.image);
-      for (std::size_t c = 0; c < comps.size(); ++c) {
-        for (VertexId v : comps[c]) info.component.emplace(v, static_cast<int>(c));
-      }
+      info.a = solo.index(e[0]);
+      info.b = solo.index(e[1]);
+      const ComponentLabels image = component_labels(task.delta.facet_images(e));
+      for (VertexId y : solo.values[info.a]) info.component_a.push_back(image.of(y));
+      for (VertexId y : solo.values[info.b]) info.component_b.push_back(image.of(y));
       edge_infos.push_back(std::move(info));
     }
-    edges_touching.resize(inputs.size());
+    edges_touching.resize(solo.inputs.size());
     for (std::size_t k = 0; k < edge_infos.size(); ++k) {
       edges_touching[std::max(edge_infos[k].a, edge_infos[k].b)].push_back(k);
     }
   }
 
-  /// DFS over assignments; `accept(assignment)` is called for complete,
+  /// The value `pick` assigns to input `i`.
+  VertexId value(const Pick& pick, std::size_t i) const { return solo.values[i][pick[i]]; }
+
+  /// DFS over assignments; `accept(pick)` is called for complete,
   /// edge-consistent assignments and may return true to stop the search.
-  bool search(
-      const std::function<bool(const std::vector<VertexId>&)>& accept) {
-    std::vector<VertexId> assign(inputs.size(), VertexId{0});
-    return dfs(0, assign, accept);
+  bool search(const std::function<bool(const Pick&)>& accept) {
+    Pick pick(solo.inputs.size(), 0);
+    return dfs(0, pick, accept);
   }
 
  private:
-  bool dfs(std::size_t i, std::vector<VertexId>& assign,
-           const std::function<bool(const std::vector<VertexId>&)>& accept) {
-    if (i == inputs.size()) return accept(assign);
-    for (VertexId candidate : domains[i]) {
+  bool dfs(std::size_t i, Pick& pick, const std::function<bool(const Pick&)>& accept) {
+    if (i == solo.inputs.size()) return accept(pick);
+    for (std::size_t candidate = 0; candidate < solo.values[i].size(); ++candidate) {
       if (++nodes_explored > node_cap) {
         exhausted = false;
         return false;
       }
-      assign[i] = candidate;
+      pick[i] = candidate;
       bool ok = true;
       for (std::size_t k : edges_touching[i]) {
         const EdgeInfo& info = edge_infos[k];
-        auto ca = info.component.find(assign[info.a]);
-        auto cb = info.component.find(assign[info.b]);
-        if (ca == info.component.end() || cb == info.component.end() ||
-            ca->second != cb->second) {
+        const std::int32_t ca = info.component_a[pick[info.a]];
+        if (ca < 0 || ca != info.component_b[pick[info.b]]) {
           ok = false;
           break;
         }
       }
-      if (ok && dfs(i + 1, assign, accept)) return true;
+      if (ok && dfs(i + 1, pick, accept)) return true;
     }
     return false;
   }
@@ -322,9 +376,9 @@ ConnectivityCsp connectivity_csp(const Task& task, std::size_t node_cap) {
   ConnectivityCsp result;
   CornerSearch search(task);
   search.node_cap = node_cap;
-  const bool found = search.search([&](const std::vector<VertexId>& assign) {
-    for (std::size_t i = 0; i < search.inputs.size(); ++i) {
-      result.witness.emplace(search.inputs[i], assign[i]);
+  const bool found = search.search([&](const CornerSearch::Pick& pick) {
+    for (std::size_t i = 0; i < search.solo.inputs.size(); ++i) {
+      result.witness.emplace(search.solo.inputs[i], search.value(pick, i));
     }
     return true;
   });
@@ -349,13 +403,12 @@ HomologyObstruction homology_boundary_check(const Task& task,
   const VertexPool& pool = *task.pool;
 
   // Per input facet: its boundary edges in cyclic order (v0→v1, v1→v2,
-  // v2→v0), the facet image, and one span per prime. The boundary loop is
-  // checked over every prime in `primes`: a loop extending over the input
-  // disk bounds over every field, and GF(3) catches even-winding
-  // ("torsion-type") failures GF(2) is blind to.
+  // v2→v0) and one span per prime. The boundary loop is checked over every
+  // prime in `primes`: a loop extending over the input disk bounds over
+  // every field, and GF(3) catches even-winding ("torsion-type") failures
+  // GF(2) is blind to.
   struct FacetInfo {
     Simplex facet;
-    SimplicialComplex image;
     // (edge-info index, from, to), with from/to as input indices, in
     // coherent cyclic order.
     std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> boundary;
@@ -372,7 +425,6 @@ HomologyObstruction homology_boundary_check(const Task& task,
     for (const Simplex& sigma : task.input.simplices(top)) {
       FacetInfo info;
       info.facet = sigma;
-      info.image = task.delta.image_complex(sigma);
       info.spans.resize(primes.size());
       const std::array<std::pair<VertexId, VertexId>, 3> order{
           std::pair{sigma[0], sigma[1]}, std::pair{sigma[1], sigma[2]},
@@ -392,31 +444,48 @@ HomologyObstruction homology_boundary_check(const Task& task,
     }
   }
 
+  // Per input edge, on first use: its image compiled from the facet list
+  // (the paths walk its ascending neighbor rows) and its cycle basis.
+  struct EdgeImage {
+    std::shared_ptr<const CompiledComplex> image;
+    std::optional<std::vector<OrientedChain>> cycles;
+  };
+  std::vector<EdgeImage> edge_images(search.edge_infos.size());
+  auto edge_image = [&](std::size_t k) -> EdgeImage& {
+    EdgeImage& edge = edge_images[k];
+    if (!edge.image) {
+      edge.image = CompiledComplex::of_facets(
+          task.delta.facet_images(search.edge_infos[k].edge));
+    }
+    return edge;
+  };
+
   // Lazy, so no span is built that a loop check never asks for: the work
   // order stays that of eliminating at each check.
   auto span = [&](FacetInfo& info, std::size_t i) -> const BoundarySpan& {
     std::optional<BoundarySpan>& s = info.spans[i];
     if (!s) {
-      s.emplace(info.image, primes[i]);
+      s.emplace(task.delta.facet_images(info.facet), primes[i]);
       for (const auto& [k, from, to] : info.boundary) {
-        auto& einfo = search.edge_infos[k];
-        if (!einfo.cycles) einfo.cycles = oriented_cycle_basis(einfo.image);
-        for (const OrientedChain& g : *einfo.cycles) s->add(g);
+        EdgeImage& edge = edge_image(k);
+        if (!edge.cycles) edge.cycles = oriented_cycle_basis(*edge.image);
+        for (const OrientedChain& g : *edge.cycles) s->add(g);
       }
     }
     return *s;
   };
 
   std::string last_failure;
-  const bool found = search.search([&](const std::vector<VertexId>& assign) {
+  const bool found = search.search([&](const CornerSearch::Pick& pick) {
     for (FacetInfo& info : facet_infos) {
       // Boundary loop: corner-to-corner shortest paths inside each edge
       // image, concatenated head-to-tail (any path works; other choices
       // differ by edge-image cycles, which are in the generator span).
       OrientedChain loop;
       for (const auto& [k, from, to] : info.boundary) {
-        const auto path = lex_min_shortest_path(search.edge_infos[k].image,
-                                                assign[from], assign[to]);
+        const auto path = lex_min_shortest_path(*edge_image(k).image,
+                                                search.value(pick, from),
+                                                search.value(pick, to));
         if (!path.has_value()) return false;  // defensive; CSP ensured this
         for (std::size_t i = 0; i + 1 < path->size(); ++i) {
           oriented_add_edge(loop, (*path)[i], (*path)[i + 1]);

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
+
+#include "topology/graph.h"
 
 namespace trichroma {
 
@@ -79,57 +80,12 @@ const std::vector<Simplex>& SplitWorkspace::row(const Simplex& tau) const {
 
 std::vector<std::vector<VertexId>> SplitWorkspace::link_components(const Simplex& sigma,
                                                                    VertexId y) const {
-  const auto by_id = [](VertexId a, VertexId b) { return raw(a) < raw(b); };
-  const std::vector<Simplex>& facets = row(sigma);
-  std::vector<VertexId> link;
-  for (const Simplex& rho : facets) {
-    if (!rho.contains(y)) continue;
-    for (VertexId v : rho) {
-      if (v != y) link.push_back(v);
-    }
+  // Each ρ \ {y} with y ∈ ρ ∈ Δ(σ) is a facet of the link.
+  std::vector<Simplex> link;
+  for (const Simplex& rho : row(sigma)) {
+    if (rho.contains(y)) link.push_back(rho.without(y));
   }
-  std::sort(link.begin(), link.end(), by_id);
-  link.erase(std::unique(link.begin(), link.end()), link.end());
-
-  // Union-find over the link's vertices: each ρ \ {y} is a link simplex,
-  // so its vertices share a component.
-  std::vector<std::uint32_t> parent(link.size());
-  std::iota(parent.begin(), parent.end(), 0u);
-  const auto find = [&](std::uint32_t a) {
-    while (parent[a] != a) a = parent[a] = parent[parent[a]];
-    return a;
-  };
-  const auto local = [&](VertexId v) {
-    return static_cast<std::uint32_t>(
-        std::lower_bound(link.begin(), link.end(), v, by_id) - link.begin());
-  };
-  for (const Simplex& rho : facets) {
-    if (!rho.contains(y)) continue;
-    std::uint32_t anchor = UINT32_MAX;  // stays a root while ρ's vertices join it
-    for (VertexId v : rho) {
-      if (v == y) continue;
-      const std::uint32_t root = find(local(v));
-      if (anchor == UINT32_MAX) {
-        anchor = root;
-      } else {
-        parent[root] = anchor;
-      }
-    }
-  }
-
-  // Visiting the vertices in raw-id order sorts each component and orders
-  // the components by their smallest vertex.
-  std::vector<std::vector<VertexId>> components;
-  std::vector<std::uint32_t> component_of_root(link.size(), UINT32_MAX);
-  for (std::uint32_t i = 0; i < link.size(); ++i) {
-    std::uint32_t& c = component_of_root[find(i)];
-    if (c == UINT32_MAX) {
-      c = static_cast<std::uint32_t>(components.size());
-      components.emplace_back();
-    }
-    components[c].push_back(link[i]);
-  }
-  return components;
+  return connected_components(link);
 }
 
 std::vector<VertexId> SplitWorkspace::split(const LapRecord& lap) {
@@ -212,25 +168,15 @@ std::vector<VertexId> SplitWorkspace::split(const LapRecord& lap) {
   // this union, and collapsing copies always maps back — at the price of
   // vertex-level monotonicity, which split tasks may violate (as does the
   // paper's own construction). Downstream engines re-derive the effective
-  // per-edge solo constraints themselves. The copies are fresh, so the rows
-  // holding y_i are exactly the rewired rows whose images contain it.
+  // per-edge solo constraints themselves. σ contains every such vertex, and
+  // after pass 1 σ's row holds every copy (each link component contains some
+  // ρ \ {y} with ρ ∈ Δ(σ)), so the union is all r copies.
+  assert(std::all_of(copies.begin(), copies.end(), [&](VertexId yi) {
+    const std::vector<std::uint32_t>& with_yi = holders(yi);
+    return std::find(with_yi.begin(), with_yi.end(), row_of_.at(sigma)) != with_yi.end();
+  }));
   for (std::uint32_t id : solo_rows) {
-    std::vector<VertexId> allowed;
     for (VertexId yi : copies) {
-      const std::vector<std::uint32_t>& with_yi = holders(yi);
-      if (std::any_of(with_yi.begin(), with_yi.end(), [&](std::uint32_t other) {
-            return other != id && rows_[other].tau.contains_all(rows_[id].tau);
-          })) {
-        allowed.push_back(yi);
-      }
-    }
-    if (allowed.empty()) {
-      // y appears in no larger image: only possible if the original task
-      // already violated monotonicity at this vertex.
-      throw std::logic_error(
-          "split_lap: solo-decided LAP missing from every containing image");
-    }
-    for (VertexId yi : allowed) {
       rows_[id].images.push_back(Simplex::single(yi));
       add_holder(yi, id);
     }

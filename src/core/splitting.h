@@ -10,8 +10,9 @@
 //  - for τ ⊆ σ, a facet ρ ∋ y is rewired to the *single* copy y_i of the
 //    component C_i containing ρ \ {y} (the paper's "must have z, z' ∈ C_i");
 //    the solo case ρ = {y} gets the union of the copies that appear in the
-//    rewired images of the input simplices containing it, which relaxes
-//    vertex-level monotonicity (DESIGN.md §8, deviation 1);
+//    rewired images of the input simplices containing it — all of them, as
+//    Δ(σ) holds every copy — which relaxes vertex-level monotonicity
+//    (DESIGN.md §8, deviation 1);
 //  - for τ ⊄ σ, a facet ρ ∋ y is replaced by one copy *per* component
 //    (all y_i), since the task being canonical guarantees ρ ∉ Δ(σ).
 //

@@ -1,55 +1,77 @@
 #include "topology/graph.h"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
+#include <numeric>
 
 namespace trichroma {
 
-std::unordered_map<VertexId, std::vector<VertexId>, VertexIdHash> adjacency(
-    const SimplicialComplex& k) {
-  std::unordered_map<VertexId, std::vector<VertexId>, VertexIdHash> adj;
-  for (VertexId v : k.vertex_ids()) adj[v];  // ensure isolated vertices appear
-  for (const Simplex& e : k.simplices(1)) {
-    adj[e[0]].push_back(e[1]);
-    adj[e[1]].push_back(e[0]);
+namespace {
+
+bool by_id(VertexId a, VertexId b) { return raw(a) < raw(b); }
+
+}  // namespace
+
+UnionFind::UnionFind(std::size_t n) : parent_(n) {
+  std::iota(parent_.begin(), parent_.end(), 0u);
+}
+
+bool UnionFind::unite(std::uint32_t a, std::uint32_t b) {
+  a = find(a);
+  b = find(b);
+  if (a == b) return false;
+  parent_[a] = b;
+  return true;
+}
+
+std::int32_t ComponentLabels::of(VertexId v) const {
+  const auto it = std::lower_bound(vertices.begin(), vertices.end(), v, by_id);
+  if (it == vertices.end() || *it != v) return -1;
+  return static_cast<std::int32_t>(label[static_cast<std::size_t>(it - vertices.begin())]);
+}
+
+ComponentLabels component_labels(const std::vector<Simplex>& facets) {
+  ComponentLabels out;
+  for (const Simplex& f : facets) out.vertices.insert(out.vertices.end(), f.begin(), f.end());
+  std::sort(out.vertices.begin(), out.vertices.end(), by_id);
+  out.vertices.erase(std::unique(out.vertices.begin(), out.vertices.end()),
+                     out.vertices.end());
+  const auto index = [&](VertexId v) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(out.vertices.begin(), out.vertices.end(), v, by_id) -
+        out.vertices.begin());
+  };
+  // A facet's vertices share a component.
+  UnionFind sets(out.vertices.size());
+  for (const Simplex& f : facets) {
+    for (std::size_t i = 1; i < f.size(); ++i) sets.unite(index(f[0]), index(f[i]));
   }
-  for (auto& [v, nbrs] : adj) {
-    (void)v;
-    std::sort(nbrs.begin(), nbrs.end(),
-              [](VertexId a, VertexId b) { return raw(a) < raw(b); });
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+  // Labelling in vertex order numbers the components by smallest vertex.
+  constexpr std::uint32_t kUnset = 0xffffffffu;
+  std::vector<std::uint32_t> label_of_root(out.vertices.size(), kUnset);
+  out.label.resize(out.vertices.size());
+  for (std::uint32_t i = 0; i < out.vertices.size(); ++i) {
+    std::uint32_t& l = label_of_root[sets.find(i)];
+    if (l == kUnset) l = static_cast<std::uint32_t>(out.count++);
+    out.label[i] = l;
   }
-  return adj;
+  return out;
+}
+
+std::vector<std::vector<VertexId>> connected_components(const std::vector<Simplex>& facets) {
+  const ComponentLabels labels = component_labels(facets);
+  std::vector<std::vector<VertexId>> components(labels.count);
+  for (std::size_t i = 0; i < labels.vertices.size(); ++i) {
+    components[labels.label[i]].push_back(labels.vertices[i]);
+  }
+  return components;
 }
 
 std::vector<std::vector<VertexId>> connected_components(const SimplicialComplex& k) {
-  const auto adj = adjacency(k);
-  std::unordered_map<VertexId, bool, VertexIdHash> seen;
-  std::vector<std::vector<VertexId>> components;
-  for (VertexId root : k.vertex_ids()) {
-    if (seen[root]) continue;
-    std::vector<VertexId> comp;
-    std::deque<VertexId> queue{root};
-    seen[root] = true;
-    while (!queue.empty()) {
-      VertexId v = queue.front();
-      queue.pop_front();
-      comp.push_back(v);
-      for (VertexId u : adj.at(v)) {
-        if (!seen[u]) {
-          seen[u] = true;
-          queue.push_back(u);
-        }
-      }
-    }
-    std::sort(comp.begin(), comp.end(),
-              [](VertexId a, VertexId b) { return raw(a) < raw(b); });
-    components.push_back(std::move(comp));
-  }
-  std::sort(components.begin(), components.end(),
-            [](const auto& a, const auto& b) { return raw(a[0]) < raw(b[0]); });
-  return components;
+  std::vector<Simplex> skeleton;
+  k.for_each([&](const Simplex& s) {
+    if (s.size() <= 2) skeleton.push_back(s);
+  });
+  return connected_components(skeleton);
 }
 
 std::size_t component_count(const SimplicialComplex& k) {
@@ -60,15 +82,73 @@ bool is_connected(const SimplicialComplex& k) { return component_count(k) == 1; 
 
 bool same_component(const SimplicialComplex& k, VertexId a, VertexId b) {
   for (const auto& comp : connected_components(k)) {
-    const bool has_a = std::binary_search(
-        comp.begin(), comp.end(), a,
-        [](VertexId x, VertexId y) { return raw(x) < raw(y); });
-    if (has_a) {
-      return std::binary_search(comp.begin(), comp.end(), b,
-                                [](VertexId x, VertexId y) { return raw(x) < raw(y); });
+    if (std::binary_search(comp.begin(), comp.end(), a, by_id)) {
+      return std::binary_search(comp.begin(), comp.end(), b, by_id);
     }
   }
   return false;
+}
+
+std::shared_ptr<const CompiledComplex> compile_one_skeleton(const SimplicialComplex& k) {
+  CompiledComplex::Builder builder;
+  k.for_each([&](const Simplex& s) {
+    if (s.size() <= 2) builder.add(s);
+  });
+  return builder.finish();
+}
+
+void breadth_first(const CompiledComplex& k, CompiledComplex::Local root,
+                   std::vector<std::int32_t>& dist,
+                   std::vector<CompiledComplex::Local>& parent) {
+  using Local = CompiledComplex::Local;
+  std::vector<Local> queue{root};
+  dist[static_cast<std::size_t>(root)] = 0;
+  parent[static_cast<std::size_t>(root)] = root;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Local v = queue[head];
+    const Local* row = k.neighbors(v);
+    for (std::size_t i = 0; i < k.degree(v); ++i) {
+      const auto u = static_cast<std::size_t>(row[i]);
+      if (dist[u] >= 0) continue;
+      dist[u] = dist[static_cast<std::size_t>(v)] + 1;
+      parent[u] = v;
+      queue.push_back(row[i]);
+    }
+  }
+}
+
+std::optional<std::vector<VertexId>> lex_min_shortest_path(const CompiledComplex& k,
+                                                           VertexId from, VertexId to) {
+  using Local = CompiledComplex::Local;
+  const Local source = k.local(from), target = k.local(to);
+  if (source == CompiledComplex::kAbsent || target == CompiledComplex::kAbsent) {
+    return std::nullopt;
+  }
+  if (from == to) return std::vector<VertexId>{from};
+
+  // BFS from `to` gives every vertex its distance to the target; then the
+  // lexicographically-smallest shortest path is built greedily from `from`,
+  // always stepping to the smallest neighbor one step closer to the target.
+  std::vector<std::int32_t> dist_to(k.num_vertices(), -1);
+  std::vector<Local> parent(k.num_vertices());
+  breadth_first(k, target, dist_to, parent);
+  if (dist_to[static_cast<std::size_t>(source)] < 0) return std::nullopt;
+
+  std::vector<VertexId> path{from};
+  for (Local cur = source; cur != target;) {
+    const std::int32_t d = dist_to[static_cast<std::size_t>(cur)];
+    const Local* row = k.neighbors(cur);  // ascending, so the first hit is lex-min
+    cur = *std::find_if(row, row + k.degree(cur), [&](Local u) {
+      return dist_to[static_cast<std::size_t>(u)] + 1 == d;
+    });
+    path.push_back(k.vertex(cur));
+  }
+  return path;
+}
+
+std::optional<std::vector<VertexId>> lex_min_shortest_path(const SimplicialComplex& k,
+                                                           VertexId from, VertexId to) {
+  return lex_min_shortest_path(*compile_one_skeleton(k), from, to);
 }
 
 std::optional<std::vector<VertexId>> lex_min_shortest_path_symmetric(
@@ -80,82 +160,31 @@ std::optional<std::vector<VertexId>> lex_min_shortest_path_symmetric(
     if (path.has_value()) std::reverse(path->begin(), path->end());
     return path;
   }
-  auto forward = lex_min_shortest_path(k, from, to);
-  auto backward = lex_min_shortest_path(k, to, from);
+  const auto flat = compile_one_skeleton(k);
+  auto forward = lex_min_shortest_path(*flat, from, to);
+  auto backward = lex_min_shortest_path(*flat, to, from);
   if (!forward.has_value() || !backward.has_value()) return std::nullopt;
   std::reverse(backward->begin(), backward->end());
   return std::min(*forward, *backward,
                   [](const std::vector<VertexId>& a, const std::vector<VertexId>& b) {
-                    return std::lexicographical_compare(
-                        a.begin(), a.end(), b.begin(), b.end(),
-                        [](VertexId x, VertexId y) { return raw(x) < raw(y); });
+                    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                                        b.end(), by_id);
                   });
 }
 
 std::optional<std::size_t> path_distance(const SimplicialComplex& k, VertexId from,
                                          VertexId to) {
-  const auto adj = adjacency(k);
-  if (adj.count(from) == 0 || adj.count(to) == 0) return std::nullopt;
-  std::unordered_map<VertexId, std::size_t, VertexIdHash> dist;
-  std::deque<VertexId> queue{from};
-  dist[from] = 0;
-  while (!queue.empty()) {
-    VertexId v = queue.front();
-    queue.pop_front();
-    if (v == to) return dist[v];
-    for (VertexId u : adj.at(v)) {
-      if (dist.count(u) == 0) {
-        dist[u] = dist[v] + 1;
-        queue.push_back(u);
-      }
-    }
+  const auto flat = compile_one_skeleton(k);
+  const CompiledComplex::Local source = flat->local(from), target = flat->local(to);
+  if (source == CompiledComplex::kAbsent || target == CompiledComplex::kAbsent) {
+    return std::nullopt;
   }
-  return std::nullopt;
-}
-
-std::optional<std::vector<VertexId>> lex_min_shortest_path(const SimplicialComplex& k,
-                                                           VertexId from, VertexId to) {
-  const auto adj = adjacency(k);
-  if (adj.count(from) == 0 || adj.count(to) == 0) return std::nullopt;
-  if (from == to) return std::vector<VertexId>{from};
-
-  // BFS from `to` gives every vertex its distance to the target; then the
-  // lexicographically-smallest shortest path is built greedily from `from`,
-  // always stepping to the smallest neighbor one step closer to the target.
-  std::unordered_map<VertexId, std::size_t, VertexIdHash> dist_to;
-  std::deque<VertexId> queue{to};
-  dist_to[to] = 0;
-  while (!queue.empty()) {
-    VertexId v = queue.front();
-    queue.pop_front();
-    for (VertexId u : adj.at(v)) {
-      if (dist_to.count(u) == 0) {
-        dist_to[u] = dist_to[v] + 1;
-        queue.push_back(u);
-      }
-    }
-  }
-  if (dist_to.count(from) == 0) return std::nullopt;
-
-  std::vector<VertexId> path{from};
-  VertexId cur = from;
-  while (cur != to) {
-    const std::size_t d = dist_to.at(cur);
-    VertexId best{std::numeric_limits<std::uint32_t>::max()};
-    bool found = false;
-    for (VertexId u : adj.at(cur)) {  // sorted, so first hit is lex-min
-      auto it = dist_to.find(u);
-      if (it != dist_to.end() && it->second + 1 == d) {
-        best = u;
-        found = true;
-        break;
-      }
-    }
-    if (!found) return std::nullopt;  // unreachable: dist structure is consistent
-    path.push_back(best);
-    cur = best;
-  }
-  return path;
+  std::vector<std::int32_t> dist(flat->num_vertices(), -1);
+  std::vector<CompiledComplex::Local> parent(flat->num_vertices());
+  breadth_first(*flat, source, dist, parent);
+  const std::int32_t d = dist[static_cast<std::size_t>(target)];
+  if (d < 0) return std::nullopt;
+  return static_cast<std::size_t>(d);
 }
 
 }  // namespace trichroma

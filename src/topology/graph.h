@@ -4,19 +4,60 @@
 // Links of vertices in 2-dimensional complexes are graphs; the paper's core
 // notion (local articulation points) and its Figure-7 algorithm (shortest
 // lexicographically-smallest link paths) both reduce to elementary graph
-// computations, implemented here over SimplicialComplex's 0/1-skeleton.
+// computations. Each has one implementation here, over the flat forms the
+// hot paths already hold: components are a union-find over a facet list,
+// paths a breadth-first search over a CompiledComplex's ascending neighbor
+// rows. The SimplicialComplex signatures are thin adapters onto them.
 
+#include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "topology/compiled.h"
 #include "topology/complex.h"
 
 namespace trichroma {
 
+/// Disjoint sets over the ids 0 .. n-1, with path halving: the one
+/// union-find behind component_labels, betti_numbers' b0 and the LAP-split
+/// graph of Corollaries 5.5 and 5.6.
+class UnionFind {
+ public:
+  explicit UnionFind(std::size_t n);
+
+  std::uint32_t find(std::uint32_t i) {
+    while (parent_[i] != i) i = parent_[i] = parent_[parent_[i]];
+    return i;
+  }
+  /// Joins the sets of `a` and `b`; false if they were one set already.
+  bool unite(std::uint32_t a, std::uint32_t b);
+
+ private:
+  std::vector<std::uint32_t> parent_;
+};
+
+/// The vertices of the closure of a facet list with their component labels.
+struct ComponentLabels {
+  std::vector<VertexId> vertices;    ///< sorted by id
+  std::vector<std::uint32_t> label;  ///< per vertex: 0, 1, ... in order of
+                                     ///< each component's smallest vertex
+  std::size_t count = 0;             ///< number of components
+
+  /// The label of `v`, or -1 when `v` is no vertex of the complex.
+  std::int32_t of(VertexId v) const;
+};
+
+/// Connected components of the closure of `facets` (any simplices;
+/// duplicates and faces are fine): a union-find over each facet's vertices.
+ComponentLabels component_labels(const std::vector<Simplex>& facets);
+
+/// Connected components of the closure of `facets`: each a sorted vector of
+/// vertex ids, components ordered by their smallest vertex.
+std::vector<std::vector<VertexId>> connected_components(const std::vector<Simplex>& facets);
+
 /// Connected components of the 1-skeleton of `k` (isolated vertices form
-/// their own components). Each component is a sorted vector of vertex ids;
-/// components are sorted by their smallest vertex.
+/// their own components), in the format above.
 std::vector<std::vector<VertexId>> connected_components(const SimplicialComplex& k);
 
 /// Number of connected components of `k`'s 1-skeleton.
@@ -29,11 +70,22 @@ bool is_connected(const SimplicialComplex& k);
 /// vertices of `k`).
 bool same_component(const SimplicialComplex& k, VertexId a, VertexId b);
 
+/// Breadth-first search over `k`'s ascending neighbor rows from `root`.
+/// Visits the vertices with dist[v] < 0 that `root` reaches, setting
+/// dist[v] to the edge count from `root` and parent[v] to the vertex it was
+/// reached from (parent[root] = root). Both vectors have num_vertices()
+/// entries.
+void breadth_first(const CompiledComplex& k, CompiledComplex::Local root,
+                   std::vector<std::int32_t>& dist,
+                   std::vector<CompiledComplex::Local>& parent);
+
 /// The lexicographically-smallest shortest path from `from` to `to` along
 /// edges of `k` (inclusive of endpoints; a solo vertex yields {from}).
 /// Lexicographic order compares the sequences of raw vertex ids, matching
 /// the paper's "assign a unique number to each vertex" convention.
 /// Returns nullopt if no path exists.
+std::optional<std::vector<VertexId>> lex_min_shortest_path(const CompiledComplex& k,
+                                                           VertexId from, VertexId to);
 std::optional<std::vector<VertexId>> lex_min_shortest_path(const SimplicialComplex& k,
                                                            VertexId from, VertexId to);
 
@@ -49,8 +101,7 @@ std::optional<std::vector<VertexId>> lex_min_shortest_path_symmetric(
 std::optional<std::size_t> path_distance(const SimplicialComplex& k, VertexId from,
                                          VertexId to);
 
-/// Adjacency list of `k`'s 1-skeleton with sorted neighbor lists.
-std::unordered_map<VertexId, std::vector<VertexId>, VertexIdHash> adjacency(
-    const SimplicialComplex& k);
+/// The flat form of `k`'s 1-skeleton, for the adapters above.
+std::shared_ptr<const CompiledComplex> compile_one_skeleton(const SimplicialComplex& k);
 
 }  // namespace trichroma

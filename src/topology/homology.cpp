@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "topology/graph.h"
 
@@ -57,19 +58,6 @@ Chain loop_to_chain(const std::vector<VertexId>& closed_path) {
   return chain_add(edges, Chain{});
 }
 
-BettiNumbers betti_numbers(const SimplicialComplex& k) {
-  // Over any field rank ∂1 = V - b0; rank ∂2 is the span of the triangle
-  // boundaries.
-  BettiNumbers out;
-  if (k.empty()) return out;
-  const auto rank_d2 = static_cast<long long>(BoundarySpan(k, 2).rank());
-  out.b0 = static_cast<long long>(component_count(k));
-  const long long rank_d1 = static_cast<long long>(k.count(0)) - out.b0;
-  out.b1 = static_cast<long long>(k.count(1)) - rank_d1 - rank_d2;
-  out.b2 = static_cast<long long>(k.count(2)) - rank_d2;
-  return out;
-}
-
 bool bounds_in(const SimplicialComplex& k, const Chain& cycle) {
   return bounds_modulo(k, cycle, {});
 }
@@ -89,58 +77,15 @@ bool bounds_modulo(const SimplicialComplex& k, const Chain& cycle,
 }
 
 std::vector<Chain> cycle_basis(const SimplicialComplex& k) {
-  // Spanning forest via BFS; each non-tree edge closes one fundamental cycle.
-  const auto adj = adjacency(k);
-  std::unordered_map<VertexId, VertexId, VertexIdHash> parent;
-  std::unordered_map<VertexId, bool, VertexIdHash> seen;
   std::vector<Chain> out;
-
-  auto tree_path_to_root = [&](VertexId v) {
-    std::vector<VertexId> path{v};
-    while (parent.count(v) > 0 && parent.at(v) != v) {
-      v = parent.at(v);
-      path.push_back(v);
-    }
-    return path;
-  };
-
-  for (VertexId root : k.vertex_ids()) {
-    if (seen[root]) continue;
-    parent[root] = root;
-    seen[root] = true;
-    std::vector<VertexId> queue{root};
-    std::size_t head = 0;
-    while (head < queue.size()) {
-      VertexId v = queue[head++];
-      for (VertexId u : adj.at(v)) {
-        if (!seen[u]) {
-          seen[u] = true;
-          parent[u] = v;
-          queue.push_back(u);
-        }
-      }
-    }
-  }
-
-  for (const Simplex& e : k.simplices(1)) {
-    const VertexId a = e[0], b = e[1];
-    if (parent.count(a) > 0 && (parent.at(a) == b || parent.at(b) == a)) continue;
-    // Fundamental cycle: tree path a→root + edge {a,b} + tree path b→root;
-    // shared prefix cancels over GF(2).
-    Chain c{e};
-    auto add_path = [&](const std::vector<VertexId>& p) {
-      Chain edges;
-      for (std::size_t i = 0; i + 1 < p.size(); ++i)
-        edges.push_back(Simplex{p[i], p[i + 1]});
-      c = chain_add(c, edges);
-    };
-    add_path(tree_path_to_root(a));
-    add_path(tree_path_to_root(b));
-    if (is_one_cycle(c)) out.push_back(std::move(c));
+  for (const OrientedChain& c : oriented_cycle_basis(k)) {
+    Chain edges;  // a fundamental cycle is simple: every coefficient is ±1
+    for (const auto& [edge, coeff] : c) edges.push_back(edge);
+    std::sort(edges.begin(), edges.end());
+    out.push_back(std::move(edges));
   }
   return out;
 }
-
 
 // ---------------------------------------------------------------------------
 // Oriented (mod-p) homology.
@@ -204,18 +149,45 @@ std::uint32_t mod_inverse(std::uint32_t a, std::uint32_t p) {
 
 }  // namespace
 
+BoundarySpan::Cells BoundarySpan::cells_of(const SimplicialComplex& k) {
+  Cells cells;
+  k.for_each([&](const Simplex& s) {
+    if (s.size() == 2) cells.edges.push_back(edge_key(s[0], s[1]));
+    if (s.size() == 3) cells.triangles.push_back({s[0], s[1], s[2]});
+  });
+  return cells;
+}
+
+BoundarySpan::Cells BoundarySpan::cells_of(const std::vector<Simplex>& facets) {
+  Cells cells;
+  for (const Simplex& f : facets) {
+    const std::size_t n = f.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        cells.edges.push_back(edge_key(f[i], f[j]));
+        for (std::size_t l = j + 1; l < n; ++l) cells.triangles.push_back({f[i], f[j], f[l]});
+      }
+    }
+  }
+  return cells;
+}
+
 BoundarySpan::BoundarySpan(const SimplicialComplex& k, long long p)
-    : p_(static_cast<std::uint32_t>(p)) {
+    : BoundarySpan(cells_of(k), p) {}
+
+BoundarySpan::BoundarySpan(const std::vector<Simplex>& facets, long long p)
+    : BoundarySpan(cells_of(facets), p) {}
+
+BoundarySpan::BoundarySpan(Cells cells, long long p)
+    : p_(static_cast<std::uint32_t>(p)), edges_(std::move(cells.edges)) {
   if (p < 2 || p > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("BoundarySpan: p must be a prime below 2^32");
   }
-  std::vector<std::array<VertexId, 3>> triangles;
-  k.for_each([&](const Simplex& s) {
-    if (s.size() == 2) edges_.push_back(edge_key(s[0], s[1]));
-    if (s.size() == 3) triangles.push_back({s[0], s[1], s[2]});
-  });
+  auto& triangles = cells.triangles;
   std::sort(edges_.begin(), edges_.end());
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
   std::sort(triangles.begin(), triangles.end());
+  triangles.erase(std::unique(triangles.begin(), triangles.end()), triangles.end());
   pivot_.assign(edges_.size(), -1);
   for (const auto& [a, b, c] : triangles) {
     // ∂{a,b,c} = (a,b) - (a,c) + (b,c) for a < b < c, in ascending row order.
@@ -295,6 +267,31 @@ void BoundarySpan::insert(Column v) {
   columns_.push_back(std::move(v));
 }
 
+BettiNumbers betti_numbers(const SimplicialComplex& k) {
+  // Over any field rank ∂1 = V - b0, the size of a spanning forest, found by
+  // a union-find over the span's sorted edges; rank ∂2 is the span of the
+  // triangle boundaries.
+  BettiNumbers out;
+  if (k.empty()) return out;
+  const BoundarySpan span(k, 2);
+  std::uint32_t lo = std::numeric_limits<std::uint32_t>::max(), hi = 0;
+  for (std::uint64_t e : span.edges_) {
+    lo = std::min(lo, static_cast<std::uint32_t>(e >> 32));
+    hi = std::max(hi, static_cast<std::uint32_t>(e & 0xffffffffu));
+  }
+  UnionFind sets(lo <= hi ? hi - lo + 1 : 0);
+  long long rank_d1 = 0;
+  for (std::uint64_t e : span.edges_) {
+    rank_d1 += sets.unite(static_cast<std::uint32_t>(e >> 32) - lo,
+                          static_cast<std::uint32_t>(e & 0xffffffffu) - lo);
+  }
+  const auto rank_d2 = static_cast<long long>(span.rank());
+  out.b0 = static_cast<long long>(k.count(0)) - rank_d1;
+  out.b1 = static_cast<long long>(k.count(1)) - rank_d1 - rank_d2;
+  out.b2 = static_cast<long long>(k.count(2)) - rank_d2;
+  return out;
+}
+
 bool bounds_modulo_p(const SimplicialComplex& k, const OrientedChain& cycle,
                      const std::vector<OrientedChain>& generators, long long p) {
   BoundarySpan span(k, p);
@@ -302,31 +299,49 @@ bool bounds_modulo_p(const SimplicialComplex& k, const OrientedChain& cycle,
   return span.contains(cycle);
 }
 
-std::vector<OrientedChain> oriented_cycle_basis(const SimplicialComplex& k) {
+std::vector<OrientedChain> oriented_cycle_basis(const CompiledComplex& k) {
+  using Local = CompiledComplex::Local;
+  const std::size_t n = k.num_vertices();
+  std::vector<std::int32_t> depth(n, -1);
+  std::vector<Local> parent(n);
+  for (std::size_t root = 0; root < n; ++root) {
+    if (depth[root] < 0) breadth_first(k, static_cast<Local>(root), depth, parent);
+  }
   std::vector<OrientedChain> out;
-  for (const Chain& c : cycle_basis(k)) {
-    // A fundamental cycle is a simple closed walk; orient it by walking it.
-    // Build adjacency within the cycle's edge set.
-    std::unordered_map<VertexId, std::vector<VertexId>, VertexIdHash> adj;
-    for (const Simplex& e : c) {
-      adj[e[0]].push_back(e[1]);
-      adj[e[1]].push_back(e[0]);
+  std::vector<Local> up, down;
+  for (std::size_t e = 0; e < k.num_edges(); ++e) {
+    const auto [a, b] = k.edge(e);
+    const auto ia = static_cast<std::size_t>(a), ib = static_cast<std::size_t>(b);
+    if (parent[ia] == b || parent[ib] == a) continue;  // a tree edge
+    // Climb from both ends to their lowest common ancestor, then walk
+    // a → ancestor → b → a.
+    up.assign({a});
+    down.assign({b});
+    while (depth[static_cast<std::size_t>(up.back())] >
+           depth[static_cast<std::size_t>(down.back())]) {
+      up.push_back(parent[static_cast<std::size_t>(up.back())]);
     }
-    OrientedChain oriented;
-    if (c.empty()) continue;
-    const VertexId start = c.front()[0];
-    VertexId prev = start, cur = c.front()[1];
-    oriented_add_edge(oriented, prev, cur);
-    while (cur != start) {
-      const auto& nbrs = adj.at(cur);
-      const VertexId next = nbrs[0] == prev ? nbrs[1] : nbrs[0];
-      oriented_add_edge(oriented, cur, next);
-      prev = cur;
-      cur = next;
+    while (depth[static_cast<std::size_t>(down.back())] >
+           depth[static_cast<std::size_t>(up.back())]) {
+      down.push_back(parent[static_cast<std::size_t>(down.back())]);
     }
-    out.push_back(std::move(oriented));
+    while (up.back() != down.back()) {
+      up.push_back(parent[static_cast<std::size_t>(up.back())]);
+      down.push_back(parent[static_cast<std::size_t>(down.back())]);
+    }
+    up.insert(up.end(), down.rbegin() + 1, down.rend());
+    up.push_back(a);
+    OrientedChain cycle;
+    for (std::size_t i = 0; i + 1 < up.size(); ++i) {
+      oriented_add_edge(cycle, k.vertex(up[i]), k.vertex(up[i + 1]));
+    }
+    out.push_back(std::move(cycle));
   }
   return out;
+}
+
+std::vector<OrientedChain> oriented_cycle_basis(const SimplicialComplex& k) {
+  return oriented_cycle_basis(*compile_one_skeleton(k));
 }
 
 }  // namespace trichroma

@@ -11,11 +11,13 @@
 //     agreement). A loop extending over the input disk must bound over any
 //     coefficient field, so "never bounds over GF(2)" certifies impossibility.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "topology/compiled.h"
 #include "topology/complex.h"
 
 namespace trichroma {
@@ -37,7 +39,9 @@ bool is_one_cycle(const Chain& c);
 /// (consecutive duplicates and backtracking edges cancel over GF(2)).
 Chain loop_to_chain(const std::vector<VertexId>& closed_path);
 
-/// Betti numbers over GF(2). b[d] = dim H_d(k; GF(2)).
+/// Betti numbers over GF(2). b[d] = dim H_d(k; GF(2)): one pass over the
+/// cells of `k` into a BoundarySpan, which gives rank ∂2, and b0 from a
+/// union-find over its sorted edges.
 struct BettiNumbers {
   long long b0 = 0;
   long long b1 = 0;
@@ -58,8 +62,8 @@ bool bounds_in(const SimplicialComplex& k, const Chain& cycle);
 bool bounds_modulo(const SimplicialComplex& k, const Chain& cycle,
                    const std::vector<Chain>& generators);
 
-/// A basis of the 1-cycle space Z1 of `k` (as edge chains), computed from a
-/// spanning forest: one fundamental cycle per non-tree edge.
+/// A basis of the 1-cycle space Z1 of `k` (as edge chains): the edges of
+/// oriented_cycle_basis's fundamental cycles.
 std::vector<Chain> cycle_basis(const SimplicialComplex& k);
 
 // ---------------------------------------------------------------------------
@@ -101,6 +105,9 @@ class BoundarySpan {
  public:
   /// Reduces the boundaries of the triangles of `k` over GF(p), p prime.
   BoundarySpan(const SimplicialComplex& k, long long p);
+  /// The same for the closure of `facets` (duplicates and faces fine), read
+  /// straight from the list: the span of Δ(σ) from delta.facet_images(σ).
+  BoundarySpan(const std::vector<Simplex>& facets, long long p);
 
   /// Adds `generator` to the span. A generator that leaves the complex makes
   /// every later contains() false, as in bounds_modulo_p.
@@ -113,6 +120,20 @@ class BoundarySpan {
   std::size_t rank() const { return columns_.size(); }
 
  private:
+  friend BettiNumbers betti_numbers(const SimplicialComplex& k);  // reads edges_
+
+  /// Edges (packed vertex ids) and triangles, in any order, repeats fine.
+  struct Cells {
+    std::vector<std::uint64_t> edges;
+    std::vector<std::array<VertexId, 3>> triangles;
+  };
+  static Cells cells_of(const SimplicialComplex& k);
+  static Cells cells_of(const std::vector<Simplex>& facets);
+  /// The routine behind every constructor: sorts and deduplicates the
+  /// cells (edge keys give the row order) and reduces the triangle
+  /// boundaries in sorted order.
+  BoundarySpan(Cells cells, long long p);
+
   struct Entry {
     std::uint32_t row;
     std::uint32_t coeff;  // in [1, p)
@@ -140,7 +161,11 @@ class BoundarySpan {
 bool bounds_modulo_p(const SimplicialComplex& k, const OrientedChain& cycle,
                      const std::vector<OrientedChain>& generators, long long p);
 
-/// Oriented version of cycle_basis (same fundamental cycles, ±1 coeffs).
+/// A basis of the 1-cycle space of `k`'s 1-skeleton: the fundamental cycles
+/// of the breadth-first spanning forest over its ascending neighbor rows
+/// (roots in vertex order), one per non-tree edge in edge-table order, each
+/// walked once around with ±1 coefficients.
+std::vector<OrientedChain> oriented_cycle_basis(const CompiledComplex& k);
 std::vector<OrientedChain> oriented_cycle_basis(const SimplicialComplex& k);
 
 }  // namespace trichroma

@@ -1,5 +1,6 @@
 // The JSON pipeline report: schema stability (checked-in golden files for
-// the hourglass and loop_torus runs) and the basic emitter invariants.
+// the hourglass and loop_torus runs and for every catalog task) and the
+// basic emitter invariants.
 
 #include <fstream>
 #include <sstream>
@@ -34,6 +35,24 @@ TEST(Report, HourglassGoldenFile) {
             read_golden("hourglass_report.json"));
   EXPECT_EQ(io::to_json(run_pipeline(zoo::loop_agreement_torus()).report, json),
             read_golden("loop_torus_report.json"));
+}
+
+TEST(Report, CatalogGoldenFiles) {
+  // Every catalog report, generated before the impossibility engines moved
+  // onto Δ's facet lists. Corollary 5.5 fires on consensus3, hourglass,
+  // test_and_set3 and twisted_hourglass, Corollary 5.6 on pinwheel and
+  // test_and_set3, and the homology check refutes loop_hollow, loop_rp2,
+  // loop_torus and set_agreement_32, so these files pin each engine's
+  // verdict, detail and node count. Random draws are not pinned here:
+  // std::shuffle and the <random> distributions are implementation-defined
+  // (core_obstructions_oracle_test covers them in-process).
+  io::ReportJsonOptions json;
+  json.redact_timings = true;
+  for (const zoo::CatalogEntry& entry : zoo::catalog()) {
+    EXPECT_EQ(io::to_json(run_pipeline(entry.build()).report, json),
+              read_golden("catalog/" + std::string(entry.name) + ".json"))
+        << entry.name;
+  }
 }
 
 TEST(Report, SchemaFieldsPresentForEveryVerdictShape) {

@@ -92,15 +92,20 @@ TEST_F(GraphTest, SymmetricPathOnPathGraph) {
   EXPECT_EQ(p->size(), 5u);
 }
 
-TEST_F(GraphTest, AdjacencyIsSortedAndDeduped) {
-  // Intern ids in ascending order first so raw-id order matches labels.
-  const VertexId a = v(0), b = v(1), c = v(2);
-  SimplicialComplex k;
-  k.add(Simplex{a, c});
-  k.add(Simplex{a, b});
-  k.add(Simplex{a, b, c});
-  const auto adj = adjacency(k);
-  EXPECT_EQ(adj.at(a), (std::vector<VertexId>{b, c}));
+TEST_F(GraphTest, ComponentLabelsNumberComponentsBySmallestVertex) {
+  // Facets in any order, with a repeat and a face: labels follow each
+  // component's smallest vertex, and a vertex outside the complex reads -1.
+  const VertexId a = v(0), b = v(1), c = v(2), d = v(3), e = v(4);
+  const std::vector<Simplex> facets{Simplex{b, d}, Simplex::single(c), Simplex{a, e},
+                                    Simplex{b, d}, Simplex::single(b), Simplex{a, c}};
+  const ComponentLabels labels = component_labels(facets);
+  EXPECT_EQ(labels.vertices, (std::vector<VertexId>{a, b, c, d, e}));
+  EXPECT_EQ(labels.count, 2u);
+  EXPECT_EQ(labels.label, (std::vector<std::uint32_t>{0, 1, 0, 1, 0}));
+  EXPECT_EQ(labels.of(d), 1);
+  EXPECT_EQ(labels.of(v(9)), -1);
+  EXPECT_EQ(connected_components(facets),
+            (std::vector<std::vector<VertexId>>{{a, c, e}, {b, d}}));
 }
 
 }  // namespace
