@@ -25,19 +25,6 @@ namespace {
 
 using namespace trichroma;
 
-void BM_ChromaticSubdivision(benchmark::State& state) {
-  const int rounds = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    VertexPool pool;
-    SimplicialComplex base;
-    base.add(Simplex{pool.vertex(0, 0), pool.vertex(1, 1), pool.vertex(2, 2)});
-    const SubdividedComplex sub = chromatic_subdivision(pool, base, rounds);
-    benchmark::DoNotOptimize(sub.complex.count(2));
-  }
-  state.counters["facets"] = static_cast<double>(std::pow(13.0, rounds));
-}
-BENCHMARK(BM_ChromaticSubdivision)->Arg(1)->Arg(2)->Arg(3);
-
 // The radius sweep 0..R as the seed's decide_solvability ran it: every
 // radius recomputes all rounds from scratch (the r-th probe pays r rounds
 // again), versus the SubdivisionLadder, where the r-th probe derives Ch^r

@@ -2,7 +2,7 @@
 // the paper) measured end to end — primitive objects, the Afek et al.
 // register-based snapshot, the Borowsky–Gafni immediate snapshot, and the
 // full registers→Ch^r pipeline — plus the *geometry* substrate: the
-// compiled (flat CSR + bitmask-link) snapshot vs the hash-set
+// compiled (flat CSR) snapshot vs the hash-set
 // SimplicialComplex on the enumeration loops the solver actually runs
 // (per-vertex link components, the LAP scan, membership floods).
 
@@ -127,7 +127,7 @@ BENCHMARK(BM_ExhaustiveIisSchedules)->Arg(1)->Arg(2);
 // Geometry substrate: compiled snapshot vs hash-set complex. Each pair runs
 // the same enumeration; "Hashed" is the pre-compilation implementation
 // (build a SimplicialComplex link / hash every membership probe), "Compiled"
-// is the CSR + bitmask path the solver now uses.
+// is the CSR path the solver now uses.
 // ---------------------------------------------------------------------------
 
 SubdividedComplex subdivided_triangle(VertexPool& pool, int rounds) {
@@ -164,7 +164,6 @@ void BM_LinkComponentsCompiled(benchmark::State& state) {
     std::size_t total = 0;
     const auto nv = static_cast<CompiledComplex::Local>(c.num_vertices());
     for (CompiledComplex::Local v = 0; v < nv; ++v) {
-      if (c.link_empty(v)) continue;
       total += c.link_component_count(v);
     }
     benchmark::DoNotOptimize(total);

@@ -14,14 +14,13 @@ std::vector<LapRecord> find_laps(const Simplex& sigma, const std::vector<Simplex
       obs::MetricsRegistry::global().counter("topology.lap_scans");
   scans.add();
   std::vector<LapRecord> out;
-  // One compiled Δ(σ), from its facet list; the per-vertex scans then run
-  // over the link bitmasks instead of materializing a SimplicialComplex
-  // link each. Locals are in raw-id order, so the records come out in
-  // vertex-id order, whatever the order of `facets`.
+  // One compiled Δ(σ), from its facet list; the per-vertex scans then read
+  // its neighbor and triangle rows instead of materializing a
+  // SimplicialComplex link each. Locals are in raw-id order, so the records
+  // come out in vertex-id order, whatever the order of `facets`.
   const auto image = CompiledComplex::of_facets(facets);
   const auto nv = static_cast<CompiledComplex::Local>(image->num_vertices());
   for (CompiledComplex::Local y = 0; y < nv; ++y) {
-    if (image->link_empty(y)) continue;
     if (image->link_component_count(y) < 2) continue;
     out.push_back(LapRecord{sigma, image->vertex(y), image->link_components(y)});
   }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 namespace trichroma::io {
@@ -30,6 +33,15 @@ bool is_integer(const std::string& s) {
   return true;
 }
 
+/// The value of an is_integer token, or nullopt when it does not fit in T.
+template <typename T>
+std::optional<T> integer_of(const std::string& s) {
+  T out{};
+  const auto [end, error] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (error != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return out;
+}
+
 /// Parses `P<color>:<value>` into an interned vertex with the given tag.
 VertexId parse_vertex(VertexPool& pool, const std::string& token,
                       const std::string& tag, int num_processes, int line) {
@@ -44,8 +56,8 @@ VertexId parse_vertex(VertexPool& pool, const std::string& token,
   if (!is_integer(color_str)) {
     throw ParseError(line, "bad color in vertex '" + token + "'");
   }
-  const int color = std::stoi(color_str);
-  if (color < 0 || color >= num_processes) {
+  const std::optional<int> color = integer_of<int>(color_str);
+  if (!color || *color < 0 || *color >= num_processes) {
     throw ParseError(line, "color out of range in vertex '" + token + "'");
   }
   const std::string value = token.substr(colon + 1);
@@ -53,9 +65,13 @@ VertexId parse_vertex(VertexPool& pool, const std::string& token,
     throw ParseError(line, "empty value in vertex '" + token + "'");
   }
   ValuePool& vals = pool.values();
-  const ValueId payload =
-      is_integer(value) ? vals.of_int(std::stoll(value)) : vals.of_string(value);
-  return pool.vertex(static_cast<Color>(color),
+  std::optional<std::int64_t> number;
+  if (is_integer(value)) {
+    number = integer_of<std::int64_t>(value);
+    if (!number) throw ParseError(line, "value out of range in vertex '" + token + "'");
+  }
+  const ValueId payload = number ? vals.of_int(*number) : vals.of_string(value);
+  return pool.vertex(static_cast<Color>(*color),
                      vals.of_tuple({vals.of_string(tag), payload}));
 }
 
@@ -104,10 +120,11 @@ Task parse_task(const std::string& text) {
       if (tokens.size() != 2 || !is_integer(tokens[1])) {
         throw ParseError(line_no, "processes expects one integer");
       }
-      task.num_processes = std::stoi(tokens[1]);
-      if (task.num_processes < 1 || task.num_processes > 8) {
+      const std::optional<int> count = integer_of<int>(tokens[1]);
+      if (!count || *count < 1 || *count > 8) {
         throw ParseError(line_no, "process count out of range");
       }
+      task.num_processes = *count;
     } else if (keyword == "input") {
       if (task.num_processes == 0) {
         throw ParseError(line_no, "'processes' must precede 'input'");

@@ -82,7 +82,7 @@ bool is_link_connected(const std::vector<Simplex>& facets) {
   const auto image = CompiledComplex::of_facets(facets);
   const auto nv = static_cast<CompiledComplex::Local>(image->num_vertices());
   for (CompiledComplex::Local y = 0; y < nv; ++y) {
-    if (!image->link_empty(y) && !image->link_connected(y)) return false;
+    if (image->link_component_count(y) > 1) return false;
   }
   return true;
 }

@@ -1,5 +1,7 @@
 // Tests for the task text format and DOT export.
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "io/task_format.h"
@@ -80,6 +82,21 @@ TEST(Io, ParseErrorsCarryLineNumbers) {
     FAIL() << "oversized image: expected ParseError";
   } catch (const io::ParseError& e) {
     EXPECT_EQ(e.line(), 4);
+  }
+  // Integer tokens too large for their type: the process count, a color
+  // and an integer value. Each names its line.
+  const std::pair<const char*, int> overflows[] = {
+      {"task x\nprocesses 99999999999\n", 2},
+      {"task x\nprocesses 3\ninput P0:0 P99999999999:1\n", 3},
+      {"task x\nprocesses 3\ninput P0:0 P1:1 P2:99999999999999999999999\n", 3},
+  };
+  for (const auto& [text, line] : overflows) {
+    try {
+      io::parse_task(text);
+      FAIL() << text << ": expected ParseError";
+    } catch (const io::ParseError& e) {
+      EXPECT_EQ(e.line(), line) << text;
+    }
   }
   // A repeated vertex is listed once.
   EXPECT_EQ(io::parse_task("task x\nprocesses 2\ninput P0:0 P1:0 P0:0\n")

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/characterization.h"
 #include "core/link_connected.h"
 #include "core/obstructions.h"
 #include "solver/map_search.h"
@@ -190,14 +191,16 @@ void expect_compiled_equivalent(const CompiledComplex& c,
     const auto v = static_cast<CompiledComplex::Local>(i);
     ASSERT_EQ(c.vertex(v), ids[i]) << what;
 
-    // Link structure: emptiness, component count, and the exact component
-    // partition in connected_components' format.
+    // Link structure: emptiness (count 0), connectivity (count 1), the
+    // component count, and the exact component partition in
+    // connected_components' format.
     const SimplicialComplex link = k.link(ids[i]);
-    EXPECT_EQ(c.link_empty(v), link.empty()) << what;
+    EXPECT_EQ(c.link_component_count(v) == 0, link.empty()) << what;
     const auto components = connected_components(link);
     EXPECT_EQ(c.link_component_count(v), components.size()) << what;
     EXPECT_EQ(c.link_components(v), components) << what;
-    EXPECT_EQ(c.link_connected(v), !link.empty() && components.size() == 1)
+    EXPECT_EQ(c.link_component_count(v) == 1,
+              !link.empty() && components.size() == 1)
         << what;
   }
 
@@ -217,20 +220,30 @@ void expect_compiled_equivalent(const SimplicialComplex& k,
   expect_compiled_equivalent(*CompiledComplex::of_facets(k.facets()), k, what);
 }
 
+/// Δ(σ) of every input facet σ of `t`, compiled from its facet list as the
+/// LAP and link-connectivity scans compile it.
+void expect_images_equivalent(const Task& t, const std::string& what) {
+  for (const Simplex& sigma : t.input.simplices(t.input.dimension())) {
+    expect_compiled_equivalent(*CompiledComplex::of_facets(t.delta.facet_images(sigma)),
+                               t.delta.image_complex(sigma), what);
+  }
+}
+
 class CompiledCatalogEquivalence
     : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CompiledCatalogEquivalence, MatchesHashSetForm) {
   const zoo::CatalogEntry& entry = zoo::catalog()[GetParam()];
+  const std::string name(entry.name);
   const Task t = entry.build();
-  expect_compiled_equivalent(t.input, std::string(entry.name) + ".input");
-  expect_compiled_equivalent(t.output, std::string(entry.name) + ".output");
-  // Δ images of the facets: the complexes the LAP/link-connectivity scans
-  // actually compile.
-  for (const Simplex& sigma : t.input.simplices(t.input.dimension())) {
-    expect_compiled_equivalent(t.delta.image_complex(sigma),
-                               std::string(entry.name) + ".image");
-  }
+  expect_compiled_equivalent(t.input, name + ".input");
+  expect_compiled_equivalent(t.output, name + ".output");
+  // The Δ images the scans compile: the task's own, T*'s (canonicalize)
+  // and T′'s (make_link_connected).
+  expect_images_equivalent(t, name + ".image");
+  const CharacterizationResult c = characterize(t);
+  expect_images_equivalent(c.canonical, name + ".T*.image");
+  expect_images_equivalent(c.link_connected, name + ".T'.image");
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, CompiledCatalogEquivalence,
