@@ -157,11 +157,9 @@ class SplitGraph {
   }
 
   /// Number of independent cycles: E - N + C.
-  long long cycle_rank() {
-    long long components = 0;
-    for (std::uint32_t i = 0; i < nodes_.size(); ++i) components += sets_.find(i) == i;
+  long long cycle_rank() const {
     return static_cast<long long>(edges_) - static_cast<long long>(nodes_.size()) +
-           components;
+           static_cast<long long>(sets_.count());
   }
 
  private:

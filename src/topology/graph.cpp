@@ -1,7 +1,6 @@
 #include "topology/graph.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace trichroma {
 
@@ -11,16 +10,18 @@ bool by_id(VertexId a, VertexId b) { return raw(a) < raw(b); }
 
 }  // namespace
 
-UnionFind::UnionFind(std::size_t n) : parent_(n) {
-  std::iota(parent_.begin(), parent_.end(), 0u);
-}
-
-bool UnionFind::unite(std::uint32_t a, std::uint32_t b) {
-  a = find(a);
-  b = find(b);
-  if (a == b) return false;
-  parent_[a] = b;
-  return true;
+std::vector<std::uint32_t> UnionFind::labels() {
+  // A set's number waits in its root's entry until the loop reaches the
+  // root, which keeps it.
+  constexpr std::uint32_t kUnset = 0xffffffffu;
+  std::vector<std::uint32_t> label(parent_.size(), kUnset);
+  std::uint32_t next = 0;
+  for (std::uint32_t i = 0; i < label.size(); ++i) {
+    std::uint32_t& l = label[find(i)];
+    if (l == kUnset) l = next++;
+    label[i] = l;
+  }
+  return label;
 }
 
 std::int32_t ComponentLabels::of(VertexId v) const {
@@ -45,15 +46,9 @@ ComponentLabels component_labels(const std::vector<Simplex>& facets) {
   for (const Simplex& f : facets) {
     for (std::size_t i = 1; i < f.size(); ++i) sets.unite(index(f[0]), index(f[i]));
   }
-  // Labelling in vertex order numbers the components by smallest vertex.
-  constexpr std::uint32_t kUnset = 0xffffffffu;
-  std::vector<std::uint32_t> label_of_root(out.vertices.size(), kUnset);
-  out.label.resize(out.vertices.size());
-  for (std::uint32_t i = 0; i < out.vertices.size(); ++i) {
-    std::uint32_t& l = label_of_root[sets.find(i)];
-    if (l == kUnset) l = static_cast<std::uint32_t>(out.count++);
-    out.label[i] = l;
-  }
+  // Vertices are sorted, so the components are numbered by smallest vertex.
+  out.label = sets.labels();
+  out.count = sets.count();
   return out;
 }
 
