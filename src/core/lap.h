@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "tasks/task.h"
-#include "topology/complex.h"
+#include "topology/graph.h"
 
 namespace trichroma {
 
@@ -18,10 +18,16 @@ namespace trichroma {
 struct LapRecord {
   Simplex facet;    ///< the input facet σ
   VertexId vertex;  ///< the articulation vertex y ∈ Δ(σ)
-  /// The connected components C_1, ..., C_r of lk_{Δ(σ)}(y), each as the
-  /// sorted list of its vertices, ordered by smallest vertex id.
-  std::vector<std::vector<VertexId>> link_components;
+  /// lk_{Δ(σ)}(y) from link_labels: its vertices by id, each labelled with
+  /// its component C_1, ..., C_r (labels 0 .. r-1 in order of each
+  /// component's smallest vertex; r = link.count ≥ 2).
+  ComponentLabels link;
 };
+
+/// The LAPs w.r.t. σ of the complex spanned by `facets`, the facet list of
+/// Δ(σ) in any order, in vertex-id order: one scan of link component counts
+/// over the compiled complex.
+std::vector<VertexId> lap_vertices(const std::vector<Simplex>& facets);
 
 /// All LAPs w.r.t. input facet `sigma` of the complex spanned by `facets`,
 /// the facet list of Δ(σ) in any order, in vertex-id order.

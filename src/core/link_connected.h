@@ -24,12 +24,12 @@ struct LinkConnectedResult {
   std::vector<SplitEvent> history;  ///< every split performed, in order
 };
 
-/// Applies Theorem 4.3 to a *canonical* task: repeatedly eliminates LAPs
-/// until the task is link-connected. Deterministic: facets in sorted order,
-/// within a facet the smallest LAP vertex first. Each facet is scanned for
-/// LAPs once. From the first LAP on, the splits rewire a SplitWorkspace,
-/// whose rows are written back into Δ′, and O′ derived from it, once after
-/// the last split.
+/// Applies Theorem 4.3 to a *canonical* three-process task (std::logic_error
+/// otherwise): repeatedly eliminates LAPs until the task is link-connected.
+/// Deterministic: facets in sorted order, within a facet the smallest LAP
+/// vertex first. Each facet is scanned for LAPs once. From the first LAP on,
+/// the splits rewire a SplitWorkspace, whose rows are written back into Δ′,
+/// and O′ derived from it, once after the last split.
 LinkConnectedResult make_link_connected(const Task& canonical_task);
 
 /// Maps an output vertex of the split task back to the output vertex of the

@@ -58,42 +58,21 @@ struct SoloImages {
 /// (0 for non-LAP vertices, 1-based link-component index for LAPs).
 using SplitNode = std::pair<VertexId, int>;
 
-/// The LAPs w.r.t. one input facet σ, in vertex-id order, each with its
-/// link as a table of (link vertex, 1-based component) pairs sorted by
-/// vertex.
-struct FacetLaps {
-  std::vector<VertexId> vertices;
-  std::vector<std::vector<std::pair<std::uint32_t, int>>> links;
-
-  FacetLaps(const Task& task, const Simplex& sigma) {
-    for (const LapRecord& lap : find_laps(task, sigma)) {
-      vertices.push_back(lap.vertex);
-      auto& link = links.emplace_back();
-      for (std::size_t i = 0; i < lap.link_components.size(); ++i) {
-        for (VertexId z : lap.link_components[i]) {
-          link.emplace_back(raw(z), static_cast<int>(i + 1));
-        }
-      }
-      std::sort(link.begin(), link.end());
-    }
+/// The node of `v` on its edge to `neighbor`, given the LAPs w.r.t. σ in
+/// vertex-id order: copy 0 unless `v` is a LAP, else the 1-based component
+/// of `neighbor` in v's link. A neighbor outside the link (Δ not monotone)
+/// throws std::out_of_range.
+SplitNode resolve(const std::vector<LapRecord>& laps, VertexId v, VertexId neighbor) {
+  const auto it = std::lower_bound(
+      laps.begin(), laps.end(), v,
+      [](const LapRecord& lap, VertexId x) { return raw(lap.vertex) < raw(x); });
+  if (it == laps.end() || it->vertex != v) return {v, 0};
+  const std::int32_t component = it->link.of(neighbor);
+  if (component < 0) {
+    throw std::out_of_range("LAP-split graph: an edge leaves the LAP's link");
   }
-
-  bool empty() const { return vertices.empty(); }
-
-  /// The node of `v` on its edge to `neighbor`: copy 0 unless `v` is a LAP,
-  /// else the component of `neighbor` in v's link. A neighbor outside the
-  /// link (Δ not monotone) throws std::out_of_range.
-  SplitNode resolve(VertexId v, VertexId neighbor) const {
-    const auto it = std::lower_bound(vertices.begin(), vertices.end(), v, by_id);
-    if (it == vertices.end() || *it != v) return {v, 0};
-    const auto& link = links[static_cast<std::size_t>(it - vertices.begin())];
-    const auto at = std::lower_bound(link.begin(), link.end(), std::pair{raw(neighbor), 0});
-    if (at == link.end() || at->first != raw(neighbor)) {
-      throw std::out_of_range("LAP-split graph: an edge leaves the LAP's link");
-    }
-    return {v, at->second};
-  }
-};
+  return {v, component + 1};
+}
 
 /// The closure of a facet list with every LAP "virtually split" per link
 /// component: traversing a LAP is only possible within one component, which
@@ -102,7 +81,8 @@ struct FacetLaps {
 /// without edges, joined by a union-find.
 class SplitGraph {
  public:
-  SplitGraph(const std::vector<Simplex>& facets, const FacetLaps& laps) : sets_(0) {
+  SplitGraph(const std::vector<Simplex>& facets, const std::vector<LapRecord>& laps)
+      : sets_(0) {
     std::vector<std::pair<VertexId, VertexId>> edges;
     std::vector<VertexId> vertices;
     for (const Simplex& f : facets) {
@@ -119,7 +99,7 @@ class SplitGraph {
     std::vector<std::pair<SplitNode, SplitNode>> joins;
     std::vector<VertexId> ends;
     for (const auto& [u, v] : edges) {
-      const auto& [a, b] = joins.emplace_back(laps.resolve(u, v), laps.resolve(v, u));
+      const auto& [a, b] = joins.emplace_back(resolve(laps, u, v), resolve(laps, v, u));
       nodes_.insert(nodes_.end(), {a, b});
       ends.insert(ends.end(), {u, v});
     }
@@ -182,7 +162,7 @@ CorollaryResult corollary_5_5(const Task& task) {
   const int top = task.input.dimension();
   const SoloImages solo(task);
   for (const Simplex& sigma : task.input.simplices(top)) {
-    const FacetLaps laps(task, sigma);
+    const std::vector<LapRecord> laps = find_laps(task, sigma);
     for (const Simplex& e : sigma.faces()) {
       if (e.dim() != 1) continue;
       SplitGraph graph(task.delta.facet_images(e), laps);
@@ -225,7 +205,7 @@ CorollaryResult corollary_5_6(const Task& task) {
   const Simplex& sigma = facets.front();
   const VertexPool& pool = *task.pool;
 
-  const FacetLaps laps(task, sigma);
+  const std::vector<LapRecord> laps = find_laps(task, sigma);
   if (laps.empty()) return {};
 
   // Δ(Skel¹σ): the union of the edge images.
@@ -410,6 +390,8 @@ HomologyObstruction homology_boundary_check(const Task& task,
     // (edge-info index, from, to), with from/to as input indices, in
     // coherent cyclic order.
     std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> boundary;
+    // The image's edges and triangles, gathered once for every prime.
+    std::optional<BoundarySpan::Cells> cells;
     // spans[i]: the image's triangle boundaries plus the boundary edges'
     // cycle bases over GF(primes[i]), built on first use.
     std::vector<std::optional<BoundarySpan>> spans;
@@ -463,7 +445,8 @@ HomologyObstruction homology_boundary_check(const Task& task,
   auto span = [&](FacetInfo& info, std::size_t i) -> const BoundarySpan& {
     std::optional<BoundarySpan>& s = info.spans[i];
     if (!s) {
-      s.emplace(task.delta.facet_images(info.facet), primes[i]);
+      if (!info.cells) info.cells = BoundarySpan::Cells::of(task.delta.facet_images(info.facet));
+      s.emplace(*info.cells, primes[i]);
       for (const auto& [k, from, to] : info.boundary) {
         EdgeImage& edge = edge_image(k);
         if (!edge.cycles) edge.cycles = oriented_cycle_basis(*edge.image);

@@ -80,8 +80,9 @@ struct HomologyObstruction {
 /// over. Any prime yields a sound certificate; {2, 3} (the default) also
 /// catches even-winding failures that GF(2) alone cannot see (see
 /// zoo::twisted_hourglass and the ablation bench). Each (facet, prime)
-/// span is reduced once per call, on first use, and reused for every later
-/// corner assignment. Budget as in connectivity_csp.
+/// span is reduced once per call, on first use, from the facet's cells,
+/// gathered once for all primes, and reused for every later corner
+/// assignment. Budget as in connectivity_csp.
 HomologyObstruction homology_boundary_check(
     const Task& task, const std::vector<long long>& primes = {2, 3},
     std::size_t node_cap = kDefaultCornerNodeCap);

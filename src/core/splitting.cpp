@@ -4,9 +4,8 @@
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
-
-#include "topology/graph.h"
 
 namespace trichroma {
 
@@ -78,35 +77,12 @@ const std::vector<Simplex>& SplitWorkspace::row(const Simplex& tau) const {
   return it == row_of_.end() ? kNone : rows_[it->second].images;
 }
 
-std::vector<std::vector<VertexId>> SplitWorkspace::link_components(const Simplex& sigma,
-                                                                   VertexId y) const {
-  // Each ρ \ {y} with y ∈ ρ ∈ Δ(σ) is a facet of the link.
-  std::vector<Simplex> link;
-  for (const Simplex& rho : row(sigma)) {
-    if (rho.contains(y)) link.push_back(rho.without(y));
-  }
-  return connected_components(link);
-}
-
 std::vector<VertexId> SplitWorkspace::split(const LapRecord& lap) {
   VertexPool& pool = *task_.pool;
   const VertexId y = lap.vertex;
   const Simplex& sigma = lap.facet;
-  const std::size_t r = lap.link_components.size();
+  const std::size_t r = lap.link.count;
   assert(r >= 2);
-
-  // (raw id, 0-based component) of each link vertex, sorted for lookup;
-  // `component` answers r for a vertex outside the link.
-  std::vector<std::pair<std::uint32_t, std::size_t>> component_of;
-  for (std::size_t i = 0; i < r; ++i) {
-    for (VertexId z : lap.link_components[i]) component_of.emplace_back(raw(z), i);
-  }
-  std::sort(component_of.begin(), component_of.end());
-  const auto component = [&](VertexId z) {
-    const auto it = std::lower_bound(component_of.begin(), component_of.end(),
-                                     std::pair{raw(z), std::size_t{0}});
-    return it != component_of.end() && it->first == raw(z) ? it->second : r;
-  };
 
   std::vector<VertexId> copies;
   copies.reserve(r);
@@ -144,17 +120,18 @@ std::vector<VertexId> SplitWorkspace::split(const LapRecord& lap) {
       } else {
         // All of ρ \ {y} lies in one link component (ρ ∈ Δ(τ) ⊆ Δ(σ), so
         // ρ \ {y} is a simplex of lk_{Δ(σ)}(y)).
-        const std::size_t i = component(rest[0]);
-        if (i == r) {
+        const std::int32_t i = lap.link.of(rest[0]);
+        if (i < 0) {
           throw std::logic_error("split_lap: link vertex missing a component");
         }
         for (VertexId z : rest) {
-          if (component(z) != i) {
+          if (lap.link.of(z) != i) {
             throw std::logic_error("split_lap: facet straddles link components");
           }
         }
-        images[k] = rest.with(copies[i]);
-        add_holder(copies[i], id);
+        const VertexId yi = copies[static_cast<std::size_t>(i)];
+        images[k] = rest.with(yi);
+        add_holder(yi, id);
       }
     }
   }
@@ -193,7 +170,15 @@ void SplitWorkspace::finish() {
   task_.output = task_.delta.reachable_output(task_.input);
 }
 
+void require_triangle_inputs(const Task& task, const char* caller) {
+  if (task.input.dimension() != 2) {
+    throw std::logic_error(std::string(caller) +
+                           " requires input facets that are triangles (three processes)");
+  }
+}
+
 SplitResult split_lap(const Task& task, const LapRecord& lap) {
+  require_triangle_inputs(task, "split_lap");
   SplitResult result{task, lap.vertex, {}};
   SplitWorkspace rows(result.task);
   result.copies = rows.split(lap);

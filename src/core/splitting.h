@@ -56,16 +56,10 @@ class SplitWorkspace {
   /// no input simplex).
   const std::vector<Simplex>& row(const Simplex& tau) const;
 
-  /// The components of lk_{Δ(σ)}(y), read from σ's row, in
-  /// LapRecord::link_components order: each sorted, ordered by smallest
-  /// vertex id.
-  std::vector<std::vector<VertexId>> link_components(const Simplex& sigma,
-                                                     VertexId y) const;
-
   /// Splits `lap.vertex` w.r.t. `lap.facet`: rewires the rows that hold it
   /// and returns the copies y_1, ..., y_r in component order.
-  /// Precondition: `lap.link_components` are the current components of
-  /// lk_{Δ(σ)}(y), at least two of them.
+  /// Precondition: `lap.link` is the current lk_{Δ(σ)}(y), link_labels of
+  /// σ's row, with at least two components.
   std::vector<VertexId> split(const LapRecord& lap);
 
   /// Writes the touched rows back into the task's Δ and sets its output
@@ -95,9 +89,15 @@ class SplitWorkspace {
   std::uint32_t base_ = 0;
 };
 
+/// Throws std::logic_error, naming `caller`, unless the input facets that
+/// Theorem 4.3 scans (the top-dimensional ones) are triangles: Section 4's
+/// splitting, with Lemmas 4.1 and 4.2, is stated for three processes.
+void require_triangle_inputs(const Task& task, const char* caller);
+
 /// Copies `task`, splits `lap` in the copy through a SplitWorkspace and
 /// derives the copy's output complex from its Δ. Preconditions as for
-/// SplitWorkspace::split.
+/// SplitWorkspace::split; refuses a task whose input facets are not
+/// triangles (require_triangle_inputs).
 SplitResult split_lap(const Task& task, const LapRecord& lap);
 
 /// Interns the i-th split copy (1-based) of `y`: (color(y), ("split", raw(y), i)).

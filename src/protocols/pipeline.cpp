@@ -8,7 +8,14 @@ namespace trichroma::protocols {
 std::optional<EndToEndSolver> build_end_to_end(const Task& task, int max_radius,
                                                std::size_t node_cap) {
   EndToEndSolver solver;
-  solver.characterization = characterize(task);
+  if (task.num_processes == 2) {
+    // Section 4's splitting needs three processes; with two participants at
+    // most one is a non-pivot, so Figure 7 negotiates no link path: T′ = T*.
+    solver.characterization.canonical = canonicalize(task);
+    solver.characterization.link_connected = solver.characterization.canonical;
+  } else {
+    solver.characterization = characterize(task);
+  }
   auto algorithm = synthesize_colorless(solver.characterization.link_connected,
                                         max_radius, node_cap);
   if (!algorithm.has_value()) return std::nullopt;

@@ -2,9 +2,9 @@
 // End-to-end executable form of Theorem 5.1.
 //
 // Given a general task T, build_end_to_end runs the characterization
-// pipeline (T → canonical T* → link-connected T'), synthesizes a
-// color-agnostic solution of T' with the solver, and packages the paper's
-// Figure-7 algorithm around it. run_end_to_end then *executes* the whole
+// pipeline (T → canonical T* → link-connected T'; a two-process task stops
+// at T' = T*), synthesizes a color-agnostic solution of T' with the solver,
+// and packages the paper's Figure-7 algorithm around it. run_end_to_end then *executes* the whole
 // stack on the shared-memory simulator for a chosen set of participants and
 // translates the decisions back to the original task (splitting collapses
 // copies, canonicalization drops the echoed input), verifying the final

@@ -15,33 +15,6 @@ constexpr std::uint64_t pack(std::uint32_t a, std::uint32_t b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-/// lk(v) as disjoint sets over the positions of v's neighbor row: each
-/// triangle {v, x, y} through v joins x and y. The sets and the map from
-/// locals to row positions are per-thread scratch (a snapshot is shared
-/// across batch threads), valid until the thread's next link query; the
-/// map needs no clearing, as every x and y is in v's row.
-UnionFind& link_sets(const CompiledComplex& k, CompiledComplex::Local v) {
-  struct Scratch {
-    std::vector<std::uint32_t> position;  // local -> position in the row
-    UnionFind sets{0};
-  };
-  thread_local Scratch scratch;
-  if (scratch.position.size() < k.num_vertices()) scratch.position.resize(k.num_vertices());
-  const CompiledComplex::Local* row = k.neighbors(v);
-  const std::size_t deg = k.degree(v);
-  for (std::uint32_t p = 0; p < deg; ++p) scratch.position[static_cast<std::size_t>(row[p])] = p;
-  const auto position = [&](CompiledComplex::Local x) {
-    return scratch.position[static_cast<std::size_t>(x)];
-  };
-  scratch.sets.reset(deg);
-  const std::uint32_t* tris = k.triangles_of(v);
-  for (std::size_t i = 0, n = k.triangles_of_count(v); i < n; ++i) {
-    const auto [a, b, c] = k.triangle(tris[i]);
-    scratch.sets.unite(position(a == v ? b : a), position(c == v ? b : c));
-  }
-  return scratch.sets;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -337,18 +310,28 @@ bool CompiledComplex::contains(const Simplex& s) const {
 }
 
 std::size_t CompiledComplex::link_component_count(Local v) const {
-  return link_sets(*this, v).count();
-}
-
-std::vector<std::vector<VertexId>> CompiledComplex::link_components(Local v) const {
-  UnionFind& sets = link_sets(*this, v);
-  // The row is in raw-id order, so each component comes out sorted and the
-  // components ordered by smallest vertex, matching connected_components.
-  const std::vector<std::uint32_t> label = sets.labels();
-  std::vector<std::vector<VertexId>> components(sets.count());
+  // lk(v) as disjoint sets over the positions of v's neighbor row: each
+  // triangle {v, x, y} through v joins x and y. The sets and the map from
+  // locals to row positions are per-thread scratch (a snapshot is shared
+  // across batch threads); the map needs no clearing, as every x and y is
+  // in v's row.
+  struct Scratch {
+    std::vector<std::uint32_t> position;  // local -> position in the row
+    UnionFind sets{0};
+  };
+  thread_local Scratch scratch;
+  if (scratch.position.size() < num_vertices()) scratch.position.resize(num_vertices());
   const Local* row = neighbors(v);
-  for (std::size_t p = 0; p < label.size(); ++p) components[label[p]].push_back(vertex(row[p]));
-  return components;
+  const std::size_t deg = degree(v);
+  for (std::uint32_t p = 0; p < deg; ++p) scratch.position[static_cast<std::size_t>(row[p])] = p;
+  const auto position = [&](Local x) { return scratch.position[static_cast<std::size_t>(x)]; };
+  scratch.sets.reset(deg);
+  const std::uint32_t* tris = triangles_of(v);
+  for (std::size_t i = 0, n = triangles_of_count(v); i < n; ++i) {
+    const auto [a, b, c] = triangle(tris[i]);
+    scratch.sets.unite(position(a == v ? b : a), position(c == v ? b : c));
+  }
+  return scratch.sets.count();
 }
 
 void CompiledComplex::debug_verify_against(const SimplicialComplex& k) const {

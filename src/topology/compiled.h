@@ -17,8 +17,9 @@
 //     lookup, plus CSR vertex->neighbor and vertex->triangle rows. The
 //     link of a vertex is a graph over its neighbor row whose edges its
 //     triangle row lists (any higher cell through it has those triangles as
-//     faces), so link components are graph.h's union-find over the two
-//     rows, computed on demand without building a SimplicialComplex;
+//     faces), so the LAP scan counts link components with graph.h's
+//     union-find over the two rows, on demand (the components themselves
+//     come from graph.h's link_labels over the facet list);
 //   - flat sorted tables for any dimension >= 3 cells (n > 3 process
 //     tasks), so contains() stays exact on every input;
 //   - a monotonic arena (std::pmr) owning all of the above, so teardown is
@@ -130,14 +131,10 @@ class CompiledComplex {
   }
 
   // --- links (from the neighbor and triangle rows) ------------------------
-  // Both queries work in per-thread scratch, so threads may query one
-  // snapshot at once.
 
   /// Number of connected components of lk(v); 0 when the link is empty.
+  /// Works in per-thread scratch, so threads may query one snapshot at once.
   std::size_t link_component_count(Local v) const;
-  /// Components of lk(v) in the format of graph.h's connected_components:
-  /// each a sorted vector of global ids, components ordered by smallest id.
-  std::vector<std::vector<VertexId>> link_components(Local v) const;
 
   /// Asserts (debug builds) that this snapshot stores exactly the simplices
   /// of `k`. No-op under NDEBUG.

@@ -52,13 +52,22 @@ ComponentLabels component_labels(const std::vector<Simplex>& facets) {
   return out;
 }
 
-std::vector<std::vector<VertexId>> connected_components(const std::vector<Simplex>& facets) {
-  const ComponentLabels labels = component_labels(facets);
-  std::vector<std::vector<VertexId>> components(labels.count);
-  for (std::size_t i = 0; i < labels.vertices.size(); ++i) {
-    components[labels.label[i]].push_back(labels.vertices[i]);
-  }
+std::vector<std::vector<VertexId>> ComponentLabels::groups() const {
+  std::vector<std::vector<VertexId>> components(count);
+  for (std::size_t i = 0; i < vertices.size(); ++i) components[label[i]].push_back(vertices[i]);
   return components;
+}
+
+ComponentLabels link_labels(const std::vector<Simplex>& facets, VertexId y) {
+  std::vector<Simplex> link;
+  for (const Simplex& rho : facets) {
+    if (rho.contains(y)) link.push_back(rho.without(y));
+  }
+  return component_labels(link);
+}
+
+std::vector<std::vector<VertexId>> connected_components(const std::vector<Simplex>& facets) {
+  return component_labels(facets).groups();
 }
 
 std::vector<std::vector<VertexId>> connected_components(const SimplicialComplex& k) {

@@ -6,10 +6,10 @@
 // lexicographically-smallest link paths) both reduce to elementary graph
 // computations. Each has one implementation here, over the flat forms the
 // hot paths already hold: components are a union-find over a facet list
-// (or, for CompiledComplex's links, over a vertex's neighbor and triangle
-// rows), paths a breadth-first search over a CompiledComplex's ascending
-// neighbor rows. The SimplicialComplex signatures are thin adapters onto
-// them.
+// (or, for CompiledComplex's link counts, over a vertex's neighbor and
+// triangle rows), paths a breadth-first search over a CompiledComplex's
+// ascending neighbor rows. The SimplicialComplex signatures are thin
+// adapters onto them.
 
 #include <cstdint>
 #include <memory>
@@ -23,8 +23,9 @@
 namespace trichroma {
 
 /// Disjoint sets over the ids 0 .. n-1, with path halving: the one
-/// union-find behind component_labels, betti_numbers' b0, CompiledComplex's
-/// link components and the LAP-split graph of Corollaries 5.5 and 5.6.
+/// union-find behind component_labels (and with it link_labels),
+/// betti_numbers' b0, CompiledComplex's link component counts and the
+/// LAP-split graph of Corollaries 5.5 and 5.6.
 class UnionFind {
  public:
   explicit UnionFind(std::size_t n) { reset(n); }
@@ -69,14 +70,21 @@ struct ComponentLabels {
 
   /// The label of `v`, or -1 when `v` is no vertex of the complex.
   std::int32_t of(VertexId v) const;
+  /// The components as lists: each sorted by id, ordered by smallest vertex.
+  std::vector<std::vector<VertexId>> groups() const;
 };
 
 /// Connected components of the closure of `facets` (any simplices;
 /// duplicates and faces are fine): a union-find over each facet's vertices.
 ComponentLabels component_labels(const std::vector<Simplex>& facets);
 
-/// Connected components of the closure of `facets`: each a sorted vector of
-/// vertex ids, components ordered by their smallest vertex.
+/// Components of the link of `y` in the closure of `facets`: component_labels
+/// of the faces ρ \ {y} of the facets ρ ∋ y. On Δ(σ)'s facet list this is
+/// lk_{Δ(σ)}(y), whose components define a LAP w.r.t. σ and number the copies
+/// a split of y makes.
+ComponentLabels link_labels(const std::vector<Simplex>& facets, VertexId y);
+
+/// Connected components of the closure of `facets`: component_labels' groups.
 std::vector<std::vector<VertexId>> connected_components(const std::vector<Simplex>& facets);
 
 /// Connected components of the 1-skeleton of `k` (isolated vertices form

@@ -147,18 +147,26 @@ std::uint32_t mod_inverse(std::uint32_t a, std::uint32_t p) {
   return static_cast<std::uint32_t>(result);
 }
 
+template <typename T>
+void sort_unique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
 }  // namespace
 
-BoundarySpan::Cells BoundarySpan::cells_of(const SimplicialComplex& k) {
+BoundarySpan::Cells BoundarySpan::Cells::of(const SimplicialComplex& k) {
   Cells cells;
   k.for_each([&](const Simplex& s) {
     if (s.size() == 2) cells.edges.push_back(edge_key(s[0], s[1]));
     if (s.size() == 3) cells.triangles.push_back({s[0], s[1], s[2]});
   });
+  sort_unique(cells.edges);
+  sort_unique(cells.triangles);
   return cells;
 }
 
-BoundarySpan::Cells BoundarySpan::cells_of(const std::vector<Simplex>& facets) {
+BoundarySpan::Cells BoundarySpan::Cells::of(const std::vector<Simplex>& facets) {
   Cells cells;
   for (const Simplex& f : facets) {
     const std::size_t n = f.size();
@@ -169,27 +177,21 @@ BoundarySpan::Cells BoundarySpan::cells_of(const std::vector<Simplex>& facets) {
       }
     }
   }
+  sort_unique(cells.edges);
+  sort_unique(cells.triangles);
   return cells;
 }
 
 BoundarySpan::BoundarySpan(const SimplicialComplex& k, long long p)
-    : BoundarySpan(cells_of(k), p) {}
+    : BoundarySpan(Cells::of(k), p) {}
 
-BoundarySpan::BoundarySpan(const std::vector<Simplex>& facets, long long p)
-    : BoundarySpan(cells_of(facets), p) {}
-
-BoundarySpan::BoundarySpan(Cells cells, long long p)
-    : p_(static_cast<std::uint32_t>(p)), edges_(std::move(cells.edges)) {
+BoundarySpan::BoundarySpan(const Cells& cells, long long p)
+    : p_(static_cast<std::uint32_t>(p)), edges_(cells.edges) {
   if (p < 2 || p > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("BoundarySpan: p must be a prime below 2^32");
   }
-  auto& triangles = cells.triangles;
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  std::sort(triangles.begin(), triangles.end());
-  triangles.erase(std::unique(triangles.begin(), triangles.end()), triangles.end());
   pivot_.assign(edges_.size(), -1);
-  for (const auto& [a, b, c] : triangles) {
+  for (const auto& [a, b, c] : cells.triangles) {
     // ∂{a,b,c} = (a,b) - (a,c) + (b,c) for a < b < c, in ascending row order.
     insert({{row(a, b), 1}, {row(a, c), p_ - 1}, {row(b, c), 1}});
   }

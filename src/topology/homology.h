@@ -103,11 +103,23 @@ bool is_oriented_cycle(const OrientedChain& c);
 /// small→large orientation. Not thread-safe to mutate; const queries are.
 class BoundarySpan {
  public:
+  /// The edges and triangles of a complex, sorted and deduplicated: a
+  /// span's rows (edge keys, in order) and the triangles whose boundaries it
+  /// reduces, in that order. Gathered once, they serve a span per prime.
+  struct Cells {
+    std::vector<std::uint64_t> edges;  ///< packed vertex ids, sorted
+    std::vector<std::array<VertexId, 3>> triangles;  ///< sorted
+
+    static Cells of(const SimplicialComplex& k);
+    /// The closure of `facets` (duplicates and faces fine), read straight
+    /// from the list: Δ(σ)'s cells from delta.facet_images(σ).
+    static Cells of(const std::vector<Simplex>& facets);
+  };
+
   /// Reduces the boundaries of the triangles of `k` over GF(p), p prime.
   BoundarySpan(const SimplicialComplex& k, long long p);
-  /// The same for the closure of `facets` (duplicates and faces fine), read
-  /// straight from the list: the span of Δ(σ) from delta.facet_images(σ).
-  BoundarySpan(const std::vector<Simplex>& facets, long long p);
+  /// The same for gathered `cells`: the routine behind every span.
+  BoundarySpan(const Cells& cells, long long p);
 
   /// Adds `generator` to the span. A generator that leaves the complex makes
   /// every later contains() false, as in bounds_modulo_p.
@@ -121,18 +133,6 @@ class BoundarySpan {
 
  private:
   friend BettiNumbers betti_numbers(const SimplicialComplex& k);  // reads edges_
-
-  /// Edges (packed vertex ids) and triangles, in any order, repeats fine.
-  struct Cells {
-    std::vector<std::uint64_t> edges;
-    std::vector<std::array<VertexId, 3>> triangles;
-  };
-  static Cells cells_of(const SimplicialComplex& k);
-  static Cells cells_of(const std::vector<Simplex>& facets);
-  /// The routine behind every constructor: sorts and deduplicates the
-  /// cells (edge keys give the row order) and reduces the triangle
-  /// boundaries in sorted order.
-  BoundarySpan(Cells cells, long long p);
 
   struct Entry {
     std::uint32_t row;

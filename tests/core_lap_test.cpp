@@ -15,16 +15,18 @@ TEST(Lap, HourglassHasExactlyOneLap) {
   const auto laps = find_all_laps(t);
   ASSERT_EQ(laps.size(), 1u);
   EXPECT_EQ(t.pool->color(laps[0].vertex), 0);  // P0's vertex
-  EXPECT_EQ(laps[0].link_components.size(), 2u);
-  EXPECT_EQ(laps[0].link_components[0].size(), 2u);
-  EXPECT_EQ(laps[0].link_components[1].size(), 2u);
+  EXPECT_EQ(laps[0].link.count, 2u);
+  const auto components = laps[0].link.groups();
+  ASSERT_EQ(components.size(), 2u);
+  EXPECT_EQ(components[0].size(), 2u);
+  EXPECT_EQ(components[1].size(), 2u);
 }
 
 TEST(Lap, PinwheelHasSixLaps) {
   const auto laps = find_all_laps(zoo::pinwheel());
   EXPECT_EQ(laps.size(), 6u);
   for (const auto& lap : laps) {
-    EXPECT_EQ(lap.link_components.size(), 2u);
+    EXPECT_EQ(lap.link.count, 2u);
   }
 }
 
@@ -64,7 +66,9 @@ TEST(Lap, LapsArePerFacet) {
   const Task star = canonicalize(zoo::majority_consensus());
   for (const auto& lap : find_all_laps(star)) {
     const SimplicialComplex image = star.delta.image_complex(lap.facet);
-    EXPECT_GE(connected_components(image.link(lap.vertex)).size(), 2u);
+    const auto components = connected_components(image.link(lap.vertex));
+    EXPECT_GE(components.size(), 2u);
+    EXPECT_EQ(lap.link.groups(), components);
   }
 }
 

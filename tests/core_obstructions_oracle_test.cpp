@@ -31,6 +31,7 @@
 #include "core/characterization.h"
 #include "core/lap.h"
 #include "core/obstructions.h"
+#include "tasks/canonical.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
 #include "topology/homology.h"
@@ -244,10 +245,9 @@ LapComponents lap_components(const Task& task, const Simplex& sigma) {
   LapComponents out;
   for (const LapRecord& lap : find_laps(task, sigma)) {
     auto& comp = out[lap.vertex];
-    for (std::size_t i = 0; i < lap.link_components.size(); ++i) {
-      for (VertexId z : lap.link_components[i]) {
-        comp.emplace(z, static_cast<int>(i + 1));
-      }
+    const auto components = lap.link.groups();
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      for (VertexId z : components[i]) comp.emplace(z, static_cast<int>(i + 1));
     }
   }
   return out;
@@ -730,6 +730,11 @@ void expect_same_engines(const Task& task, const std::string& label, Coverage& s
 }
 
 void expect_same_on_both_tasks(const Task& task, const std::string& label, Coverage& seen) {
+  if (task.num_processes == 2) {
+    // Section 4's splitting needs three processes: T* and no T′.
+    expect_same_engines(canonicalize(task), label + " T*", seen);
+    return;
+  }
   const CharacterizationResult ch = characterize(task);
   expect_same_engines(ch.canonical, label + " T*", seen);
   expect_same_engines(ch.link_connected, label + " T'", seen);

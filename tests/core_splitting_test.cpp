@@ -140,10 +140,7 @@ TEST(Splitting, SplitRewiringRespectsComponents) {
   const SplitResult split = split_lap(t, laps[0]);
   VertexPool& pool = *t.pool;
 
-  std::unordered_map<VertexId, std::size_t, VertexIdHash> component_of;
-  for (std::size_t i = 0; i < laps[0].link_components.size(); ++i) {
-    for (VertexId z : laps[0].link_components[i]) component_of.emplace(z, i);
-  }
+  const ComponentLabels& link = laps[0].link;
   split.task.input.for_each([&](const Simplex& tau) {
     for (const Simplex& rho : split.task.delta.facet_images(tau)) {
       for (VertexId v : rho) {
@@ -153,9 +150,9 @@ TEST(Splitting, SplitRewiringRespectsComponents) {
             pool.values().as_int(pool.values().elements(pool.value(v))[2]));
         for (VertexId other : rho) {
           if (other == v) continue;
-          auto it = component_of.find(other);
-          if (it != component_of.end()) {
-            EXPECT_EQ(it->second + 1, idx)
+          const std::int32_t component = link.of(other);
+          if (component >= 0) {
+            EXPECT_EQ(static_cast<std::size_t>(component) + 1, idx)
                 << "facet " << rho.to_string(pool) << " straddles components";
           }
         }
@@ -187,6 +184,21 @@ TEST(Splitting, SplitTasksMatchGoldenFiles) {
 TEST(Splitting, RequiresCanonicalTask) {
   const Task t = zoo::majority_consensus();  // not canonical
   EXPECT_THROW(make_link_connected(t), std::logic_error);
+}
+
+TEST(Splitting, RefusesTwoProcessTasks) {
+  // Section 4 is stated for three processes. On a one-dimensional Δ(σ)
+  // every vertex of degree two or more is a "LAP", and splitting it w.r.t.
+  // one input edge gives the other edges' rows one facet per copy: the
+  // split T′ of two-process approximate agreement was left with LAPs and
+  // decided UNSOLVABLE, although the task is solvable (Proposition 5.4).
+  const Task t = canonicalize(zoo::approximate_agreement_2(2));
+  EXPECT_THROW(make_link_connected(t), std::logic_error);
+  const auto laps = find_all_laps(t);
+  ASSERT_FALSE(laps.empty());
+  EXPECT_THROW(split_lap(t, laps.front()), std::logic_error);
+  // A two-process task without LAPs is refused too.
+  EXPECT_THROW(make_link_connected(canonicalize(zoo::consensus_2())), std::logic_error);
 }
 
 TEST(Splitting, UnsplitVertexTranslatesBack) {

@@ -127,6 +127,23 @@ TEST(EndToEnd, ApproximateAgreementMultiInput) {
   }
 }
 
+TEST(EndToEnd, TwoProcessTaskRunsOnTheCanonicalTask) {
+  // Section 4's splitting is for three processes; with two participants
+  // Figure 7 negotiates no link path, so it runs on T* itself.
+  const Task t = zoo::approximate_agreement_2(2);
+  const auto solver = build_end_to_end(t, 2);
+  ASSERT_TRUE(solver.has_value());
+  EXPECT_TRUE(solver->characterization.splits.empty());
+  for (const Simplex& facet : t.input.simplices(1)) {
+    std::vector<std::pair<int, VertexId>> inputs;
+    for (VertexId v : facet) inputs.emplace_back(t.pool->color(v), v);
+    for (int seed = 1; seed <= 8; ++seed) {
+      EXPECT_TRUE(run_end_to_end(*solver, t, inputs, static_cast<std::uint64_t>(seed)).valid)
+          << facet.to_string(*t.pool) << " seed=" << seed;
+    }
+  }
+}
+
 TEST(EndToEnd, UnsolvableTasksYieldNoSolver) {
   // For unsolvable tasks the color-agnostic synthesis on T' must fail
   // (Theorem 5.1's possibility direction finds nothing at any radius our

@@ -88,9 +88,10 @@ TEST_F(CompiledTest, LinkComponentsMatchHashSetLinkOnBowtie) {
   const auto c = compile_facets(k);
   const CompiledComplex::Local lw = c->local(w);
   ASSERT_NE(lw, CompiledComplex::kAbsent);
-  // Disconnected: two components.
+  // Disconnected: two components, as link_labels groups them from the
+  // facet list.
   EXPECT_EQ(c->link_component_count(lw), 2u);
-  EXPECT_EQ(c->link_components(lw), connected_components(k.link(w)));
+  EXPECT_EQ(link_labels(k.facets(), w).groups(), connected_components(k.link(w)));
 }
 
 TEST_F(CompiledTest, LinksWiderThanAnyCatalogOrSweepComplex) {
@@ -121,7 +122,7 @@ TEST_F(CompiledTest, LinksWiderThanAnyCatalogOrSweepComplex) {
     const auto components = connected_components(t.k.link(w));
     ASSERT_EQ(components.size(), t.components);
     EXPECT_EQ(c->link_component_count(lw), t.components);
-    EXPECT_EQ(c->link_components(lw), components);
+    EXPECT_EQ(link_labels(t.k.facets(), w).groups(), components);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/characterization.h"
+#include "tasks/canonical.h"
 #include "tasks/zoo.h"
 #include "topology/chromatic.h"
 #include "topology/complex.h"
@@ -222,12 +223,17 @@ TEST(ComplexAdd, MatchesAllFacesLoopOnCatalogAndCh2) {
   for (const zoo::CatalogEntry& entry : zoo::catalog()) {
     const Task t = entry.build();
     const std::string name = entry.name;
-    const CharacterizationResult c = characterize(t);
     expect_same_levels_over(t.output, name + " O");
-    expect_same_levels_over(c.link_connected.output, name + " O'");
     expect_reachable_output_matches(t, name + " O");
-    expect_reachable_output_matches(c.canonical, name + " T*");
-    expect_reachable_output_matches(c.link_connected, name + " O'");
+    if (t.num_processes == 2) {
+      // Section 4's splitting needs three processes: T* and no T′.
+      expect_reachable_output_matches(canonicalize(t), name + " T*");
+    } else {
+      const CharacterizationResult c = characterize(t);
+      expect_same_levels_over(c.link_connected.output, name + " O'");
+      expect_reachable_output_matches(c.canonical, name + " T*");
+      expect_reachable_output_matches(c.link_connected, name + " O'");
+    }
     for (int r = 1; r <= 2; ++r) {
       const SubdividedComplex level = chromatic_subdivision(*t.pool, t.input, r);
       expect_same_levels_over(level.complex, name + " Ch^" + std::to_string(r));

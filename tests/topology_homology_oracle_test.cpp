@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/characterization.h"
+#include "tasks/canonical.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
 #include "topology/homology.h"
@@ -385,9 +386,11 @@ void check_complex(const SimplicialComplex& k,
 
 /// Checks every edge image of T′, and Δ′(σ) of every input facet with the
 /// cycle bases of σ's edge images as generators (as the homology engine
-/// uses them).
+/// uses them). Section 4's splitting needs three processes, so a
+/// two-process task is checked on T*.
 void check_task(const Task& task, std::uint64_t seed) {
-  const Task tp = characterize(task).link_connected;
+  const Task tp =
+      task.num_processes == 2 ? canonicalize(task) : characterize(task).link_connected;
   std::mt19937_64 rng(seed);
   for (const Simplex& e : tp.input.simplices(1)) {
     check_complex(tp.delta.image_complex(e), {}, rng,
