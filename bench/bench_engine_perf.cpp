@@ -25,10 +25,10 @@ namespace {
 
 using namespace trichroma;
 
-// The radius sweep 0..R as the seed's decide_solvability ran it: every
-// radius recomputes all rounds from scratch (the r-th probe pays r rounds
-// again), versus the SubdivisionLadder, where the r-th probe derives Ch^r
-// from the memoized Ch^{r-1} in a single subdivide_once step. The delta
+// The radius sweep 0..R as the seed's decide ran it: every radius
+// recomputes all rounds from scratch (the r-th probe pays r rounds again),
+// versus the SubdivisionLadder, where the r-th probe derives Ch^r from the
+// memoized Ch^{r-1} in a single subdivide_once step. The delta
 // between the two *is* the recomputation of the lower rounds — at R = 2 the
 // cold sweep subdivides round 0 three times and round 1 twice.
 void BM_SubdivisionSweepCold(benchmark::State& state) {
@@ -81,10 +81,10 @@ BENCHMARK(BM_CharacterizationPipeline);
 
 // One radius-r possibility probe of the calibration task (subdivision task
 // of intrinsic radius 2 — unsatisfiable at radius < 2 with Ch^2-sized Δ
-// images, the shape that dominates decide_solvability). Arg(1) selects the
-// engine generation described in the file comment: 1 is the seed baseline
-// (cold subdivision, cold images); > 1 is the current engine (ladder +
-// image/mask cache, warm).
+// images, the shape that dominates a decide). Arg(1) selects the engine
+// generation described in the file comment: 1 is the seed baseline (cold
+// subdivision, cold images); > 1 is the current engine (ladder + image/mask
+// cache, warm).
 void BM_DecisionMapSearch(benchmark::State& state) {
   const int rounds = static_cast<int>(state.range(0));
   const bool warm = state.range(1) > 1;
@@ -94,8 +94,8 @@ void BM_DecisionMapSearch(benchmark::State& state) {
   MapSearchOptions options;
   if (warm) {
     options.image_cache = &images;
-    // Warm the caches once: in decide_solvability the radius-r probe runs
-    // after radii 0..r-1 already populated the ladder and the Δ cache.
+    // Warm the caches once: in a decide the radius-r probe runs after
+    // radii 0..r-1 already populated the ladder and the Δ cache.
     find_decision_map(*task.pool, ladder.at(rounds), task, options);
   }
   for (auto _ : state) {

@@ -13,7 +13,7 @@
 #include "core/characterization.h"
 #include "core/lap.h"
 #include "core/obstructions.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/canonical.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
@@ -62,8 +62,8 @@ void reproduce() {
   std::printf("(paper: the mixed-input output complex falls into two components)\n");
 
   benchutil::section("verdict");
-  const SolvabilityResult verdict = decide_solvability(task);
-  std::printf("%s — %s\n", to_string(verdict.verdict), verdict.reason.c_str());
+  const PipelineReport report = run_pipeline(task).report;
+  std::printf("%s — %s\n", to_string(report.verdict), report.reason.c_str());
 }
 
 void BM_MajorityCharacterize(benchmark::State& state) {
@@ -84,7 +84,7 @@ BENCHMARK(BM_MajorityConnectivityCsp);
 
 void BM_MajorityFullVerdict(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(decide_solvability(zoo::majority_consensus()).verdict);
+    benchmark::DoNotOptimize(run_pipeline(zoo::majority_consensus()).report.verdict);
   }
 }
 BENCHMARK(BM_MajorityFullVerdict);

@@ -15,7 +15,7 @@
 #include "core/characterization.h"
 #include "core/lap.h"
 #include "core/obstructions.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
 #include "topology/homology.h"
@@ -54,9 +54,9 @@ void reproduce() {
   const MapSearchResult colorless = colorless_probe(task, 2);
   std::printf("color-agnostic decision map: %s (found at some Ch^r, r<=2)\n",
               colorless.found ? "FOUND" : "none");
-  const SolvabilityResult verdict = decide_solvability(task);
-  std::printf("chromatic verdict: %s\n  %s\n", to_string(verdict.verdict),
-              verdict.reason.c_str());
+  const PipelineReport report = run_pipeline(task).report;
+  std::printf("chromatic verdict: %s\n  %s\n", to_string(report.verdict),
+              report.reason.c_str());
 
   benchutil::section("after splitting (center right)");
   const CharacterizationResult c = characterize(task);
@@ -88,7 +88,7 @@ BENCHMARK(BM_HourglassColorlessProbe);
 
 void BM_HourglassVerdict(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(decide_solvability(zoo::hourglass()).verdict);
+    benchmark::DoNotOptimize(run_pipeline(zoo::hourglass()).report.verdict);
   }
 }
 BENCHMARK(BM_HourglassVerdict);

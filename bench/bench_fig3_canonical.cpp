@@ -10,7 +10,7 @@
 //    growth is bounded by the number of (input facet, image) pairs.
 
 #include "bench_util.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/canonical.h"
 #include "tasks/zoo.h"
 
@@ -42,9 +42,9 @@ void reproduce() {
 
   benchutil::section("Theorem 3.1: solvability is unchanged");
   std::printf("T  verdict: %s\n",
-              to_string(decide_solvability(task).verdict));
+              to_string(run_pipeline(task).report.verdict));
   std::printf("T* verdict: %s\n",
-              to_string(decide_solvability(star).verdict));
+              to_string(run_pipeline(star).report.verdict));
 
   benchutil::section("canonicalization growth across the zoo");
   const std::vector<Task> tasks = {zoo::consensus(3), zoo::majority_consensus(),

@@ -10,7 +10,7 @@
 #include "core/characterization.h"
 #include "core/obstructions.h"
 #include "protocols/colorless_protocol.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
 namespace {
@@ -34,7 +34,7 @@ void reproduce() {
     SolvabilityOptions options;
     options.max_radius = 1;
     options.use_characterization = false;
-    const SolvabilityResult direct = decide_solvability(t, options);
+    const PipelineReport direct = run_pipeline(t, options).report;
     const CharacterizationResult c = characterize(t);
     const bool obstructed = !connectivity_csp(c.link_connected).feasible ||
                             !homology_boundary_check(c.link_connected).feasible;
@@ -65,7 +65,7 @@ void reproduce() {
     SolvabilityOptions options;
     options.max_radius = 1;
     options.use_characterization = false;
-    const bool direct = decide_solvability(t, options).verdict == Verdict::Solvable;
+    const bool direct = run_pipeline(t, options).report.verdict == Verdict::Solvable;
     const CharacterizationResult c = characterize(t);
     const bool obstructed = !connectivity_csp(c.link_connected).feasible ||
                             !homology_boundary_check(c.link_connected).feasible;

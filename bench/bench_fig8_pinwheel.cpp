@@ -14,7 +14,7 @@
 #include "core/characterization.h"
 #include "core/lap.h"
 #include "core/obstructions.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/canonical.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
@@ -74,8 +74,8 @@ void reproduce() {
   }
 
   benchutil::section("verdict");
-  const SolvabilityResult verdict = decide_solvability(task);
-  std::printf("%s — %s\n", to_string(verdict.verdict), verdict.reason.c_str());
+  const PipelineReport report = run_pipeline(task).report;
+  std::printf("%s — %s\n", to_string(report.verdict), report.reason.c_str());
 }
 
 void BM_PinwheelHomology(benchmark::State& state) {
@@ -96,7 +96,7 @@ BENCHMARK(BM_PinwheelCor56);
 
 void BM_PinwheelVerdict(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(decide_solvability(zoo::pinwheel()).verdict);
+    benchmark::DoNotOptimize(run_pipeline(zoo::pinwheel()).report.verdict);
   }
 }
 BENCHMARK(BM_PinwheelVerdict);

@@ -13,7 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/batch.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
 namespace {
@@ -42,7 +42,7 @@ void reproduce() {
   benchutil::section("sites per decide");
   // Count how many trace events one majority-consensus decide emits.
   obs::trace_start(std::size_t{1} << 18);
-  decide_solvability(zoo::majority_consensus());
+  run_pipeline(zoo::majority_consensus());
   obs::trace_stop();
   const std::string trace = obs::trace_to_json();
   std::size_t events = 0;
@@ -58,7 +58,7 @@ void reproduce() {
   const auto t1 = std::chrono::steady_clock::now();
   for (int i = 0; i < kReps; ++i) {
     benchmark::DoNotOptimize(
-        decide_solvability(zoo::majority_consensus()).verdict);
+        run_pipeline(zoo::majority_consensus()).report.verdict);
   }
   const double decide_ns = seconds_since(t1) * 1e9 / kReps;
   std::printf("decide: %.0f us\n", decide_ns / 1e3);
@@ -88,7 +88,7 @@ void reproduce() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   registry.reset();
   const auto t_probe = std::chrono::steady_clock::now();
-  decide_solvability(zoo::subdivision_task(2));
+  run_pipeline(zoo::subdivision_task(2));
   const double probe_ns = seconds_since(t_probe) * 1e9;
   const std::uint64_t flush_sites =
       registry.counter("map_search.searches").value() +
@@ -147,7 +147,7 @@ void reproduce() {
 void BM_DecideMajorityTraceOff(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        decide_solvability(zoo::majority_consensus()).verdict);
+        run_pipeline(zoo::majority_consensus()).report.verdict);
   }
 }
 BENCHMARK(BM_DecideMajorityTraceOff);
@@ -160,7 +160,7 @@ void BM_DecideMajorityTraceOn(benchmark::State& state) {
     // to the decide itself.
     obs::trace_start(std::size_t{1} << 16);
     benchmark::DoNotOptimize(
-        decide_solvability(zoo::majority_consensus()).verdict);
+        run_pipeline(zoo::majority_consensus()).report.verdict);
     obs::trace_stop();
   }
 }

@@ -7,7 +7,7 @@
 
 #include "bench_util.h"
 #include "core/lap.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
 
@@ -27,7 +27,7 @@ void reproduce() {
       zoo::approximate_agreement_2(4),
   };
   for (const Task& t : tasks) {
-    const SolvabilityResult r = decide_two_process(t);
+    const PipelineReport r = run_pipeline(t).report;
     std::printf("%-28s %-12s %.60s...\n", t.name.c_str(), to_string(r.verdict),
                 r.reason.c_str());
   }
@@ -58,7 +58,7 @@ void reproduce() {
 
 void BM_TwoProcConsensus(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(decide_two_process(zoo::consensus_2()).verdict);
+    benchmark::DoNotOptimize(run_pipeline(zoo::consensus_2()).report.verdict);
   }
 }
 BENCHMARK(BM_TwoProcConsensus);
@@ -66,7 +66,7 @@ BENCHMARK(BM_TwoProcConsensus);
 void BM_TwoProcApproxAgreement(benchmark::State& state) {
   const Task t = zoo::approximate_agreement_2(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(decide_two_process(t).verdict);
+    benchmark::DoNotOptimize(run_pipeline(t).report.verdict);
   }
 }
 BENCHMARK(BM_TwoProcApproxAgreement)->Arg(2)->Arg(8);

@@ -3,7 +3,7 @@
 // pipeline — a summary "Table 1" the paper itself presents only in prose.
 
 #include "bench_util.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
 namespace {
@@ -16,7 +16,7 @@ void reproduce() {
               "reason");
   for (const zoo::CatalogEntry& entry : zoo::catalog()) {
     const Task t = entry.build();
-    const SolvabilityResult r = decide_solvability(t);
+    const PipelineReport r = run_pipeline(t).report;
     std::printf("%-32s %-12s %7d %6s %.70s\n", t.name.c_str(),
                 to_string(r.verdict), r.radius,
                 r.via_characterization ? "yes" : "no", r.reason.c_str());
@@ -28,7 +28,7 @@ void BM_FullZooVerdicts(benchmark::State& state) {
     int solvable = 0;
     for (const Task& t :
          {zoo::identity_task(), zoo::consensus(3), zoo::hourglass()}) {
-      if (decide_solvability(t).verdict == Verdict::Solvable) ++solvable;
+      if (run_pipeline(t).report.verdict == Verdict::Solvable) ++solvable;
     }
     benchmark::DoNotOptimize(solvable);
   }

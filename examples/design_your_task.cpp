@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "protocols/pipeline.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
 using namespace trichroma;
@@ -55,10 +55,10 @@ int main() {
   std::printf("%s\n", task.summary().c_str());
 
   // 3. Decide solvability via the paper's characterization.
-  const SolvabilityResult verdict = decide_solvability(task);
-  std::printf("verdict: %s\nreason:  %s\n\n", to_string(verdict.verdict),
-              verdict.reason.c_str());
-  if (verdict.verdict != Verdict::Solvable) return 0;
+  const PipelineReport report = run_pipeline(task).report;
+  std::printf("verdict: %s\nreason:  %s\n\n", to_string(report.verdict),
+              report.reason.c_str());
+  if (report.verdict != Verdict::Solvable) return 0;
 
   // 4. A Solvable verdict is constructive: build the end-to-end protocol
   //    stack (canonicalize → split → color-agnostic solution → Figure-7

@@ -12,7 +12,7 @@
 #include "core/characterization.h"
 #include "core/lap.h"
 #include "core/obstructions.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/canonical.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
@@ -39,8 +39,8 @@ void analyze(const Task& task) {
               csp.feasible ? "feasible" : "INFEASIBLE",
               hom.feasible ? "feasible" : "INFEASIBLE");
 
-  const SolvabilityResult verdict = decide_solvability(task);
-  std::printf("verdict: %s\n\n", to_string(verdict.verdict));
+  const PipelineReport report = run_pipeline(task).report;
+  std::printf("verdict: %s\n\n", to_string(report.verdict));
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "core/characterization.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
 int main() {
@@ -27,9 +27,9 @@ int main() {
 
   // 3. Decide solvability (Theorem 5.1 both ways: obstructions on T' for
   //    impossibility, decision-map search for possibility).
-  const SolvabilityResult verdict = decide_solvability(task);
-  std::printf("verdict: %s\nreason: %s\n", to_string(verdict.verdict),
-              verdict.reason.c_str());
+  const PipelineReport report = run_pipeline(task).report;
+  std::printf("verdict: %s\nreason: %s\n", to_string(report.verdict),
+              report.reason.c_str());
 
   // 4. Contrast with the colorless view: the hourglass satisfies the
   //    colorless ACT condition (a continuous map exists), so a color-
@@ -37,5 +37,5 @@ int main() {
   //    unsolvable — the gap the paper's characterization explains.
   const MapSearchResult colorless = colorless_probe(task, 2);
   std::printf("colorless solvable: %s\n", colorless.found ? "yes" : "no");
-  return verdict.verdict == Verdict::Unknown ? 1 : 0;
+  return report.verdict == Verdict::Unknown ? 1 : 0;
 }

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "core/obstructions.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
 
@@ -27,9 +27,9 @@ void analyze(const Task& task) {
                 e.to_string(pool).c_str(), image.count(1),
                 component_count(image));
   }
-  const SolvabilityResult verdict = decide_two_process(task);
-  std::printf("verdict: %s\n", to_string(verdict.verdict));
-  if (verdict.verdict == Verdict::Solvable) {
+  const PipelineReport report = run_pipeline(task).report;
+  std::printf("verdict: %s\n", to_string(report.verdict));
+  if (report.verdict == Verdict::Solvable) {
     const ConnectivityCsp csp = connectivity_csp(task);
     std::printf("witness (corner assignment):\n");
     for (VertexId x : task.input.vertex_ids()) {

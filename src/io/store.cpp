@@ -11,12 +11,9 @@
 #include <tuple>
 #include <utility>
 
+#include "obs/heartbeat.h"
 #include "obs/metrics.h"
 #include "topology/compiled.h"
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 namespace trichroma::io {
 
@@ -431,32 +428,7 @@ bool VerdictStore::write_file(const std::string& dir,
                               const std::string& contents) const {
   try {
     fs::create_directories(dir);
-    static std::atomic<std::uint64_t> seq{0};
-#ifndef _WIN32
-    const long long pid = static_cast<long long>(::getpid());
-#else
-    const long long pid = 0;
-#endif
-    const std::string tmp = dir + "/.tmp-" + std::to_string(pid) + "-" +
-                            std::to_string(seq.fetch_add(1)) + "-" + filename;
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) return false;
-      out.write(contents.data(),
-                static_cast<std::streamsize>(contents.size()));
-      if (!out) {
-        out.close();
-        std::error_code ec;
-        fs::remove(tmp, ec);
-        return false;
-      }
-    }
-    std::error_code ec;
-    fs::rename(tmp, dir + "/" + filename, ec);
-    if (ec) {
-      fs::remove(tmp, ec);
-      return false;
-    }
+    obs::atomic_write_file(dir + "/" + filename, contents);
     bytes_written_.fetch_add(contents.size(), std::memory_order_relaxed);
     static obs::Histogram& write_bytes =
         obs::MetricsRegistry::global().histogram("cache.store.write_bytes");
@@ -745,12 +717,11 @@ std::string serialize_ladder_levels(
   // prev_ord: vertex -> ordinal at the previous level. Level 0 ordinals are
   // the canonical base indices; each serialized level defines the next.
   std::unordered_map<VertexId, int, VertexIdHash> prev_ord = base_ord;
-  const ValuePool& values = task.pool->values();
 
   for (std::size_t r = 1; r < levels.size(); ++r) {
     const SubdividedComplex& level = *levels[r];
     // Decode each vertex's view (set of previous-level vertices) from its
-    // interned value: Tuple("view", Set(Int(raw(prev))...)).
+    // interned value (view_of, topology/subdivision.h).
     struct Row {
       Color color;
       std::vector<int> view;     // prev-level ordinals, sorted
@@ -762,12 +733,7 @@ std::string serialize_ladder_levels(
       Row row;
       row.id = v;
       row.color = task.pool->color(v);
-      const ValueId val = task.pool->value(v);
-      const auto elems = values.elements(val);
-      for (const ValueId member : values.elements(elems[1])) {
-        const VertexId w =
-            static_cast<VertexId>(static_cast<std::uint32_t>(
-                values.as_int(member)));
+      for (const VertexId w : view_of(*task.pool, v)) {
         row.view.push_back(prev_ord.at(w));
       }
       std::sort(row.view.begin(), row.view.end());
@@ -861,8 +827,7 @@ bool load_ladder_levels(const Task& task, const CanonicalLabeling& labeling,
 
     out->clear();
     out->push_back(identity_subdivision(task.input));
-    ValuePool& values = task.pool->values();
-    const ValueId view_tag = values.of_string("view");
+    const ViewInterner views(*task.pool);
     std::vector<VertexId> prev_ids = base;
 
     for (std::size_t r = 1; r < use_levels; ++r) {
@@ -901,13 +866,11 @@ bool load_ladder_levels(const Task& task, const CanonicalLabeling& labeling,
         std::vector<ValueId> members;
         members.reserve(view.size());
         for (const int ord : view) {
-          members.push_back(values.of_int(static_cast<std::int64_t>(
-              raw(prev_ids[static_cast<std::size_t>(ord)]))));
+          members.push_back(
+              views.member(prev_ids[static_cast<std::size_t>(ord)]));
         }
-        const ValueId view_value =
-            values.of_tuple({view_tag, values.of_set(std::move(members))});
         const VertexId id =
-            task.pool->vertex(static_cast<Color>(color), view_value);
+            views.vertex(static_cast<Color>(color), std::move(members));
         ids.push_back(id);
         std::vector<VertexId> carrier_verts;
         carrier_verts.reserve(carrier.size());

@@ -25,12 +25,13 @@
 // chromatically isomorphic task, because both sides translate through
 // their own canonical labeling.
 //
-// Durability contract: writes go to a temp file in the entry directory and
-// are renamed into place (atomic on POSIX), every file carries the store
-// schema line plus a length + FNV-1a-64 checksum header, and *any* anomaly
-// on the read side — missing file, truncation, checksum mismatch, version
-// mismatch, malformed body — is a cache miss, never a crash. The store is
-// best-effort by design: an unwritable directory degrades to cache-off.
+// Durability contract: writes go through obs::atomic_write_file (a temp
+// file in the entry directory, renamed into place: atomic on POSIX), every
+// file carries the store schema line plus a length + FNV-1a-64 checksum
+// header, and *any* anomaly on the read side — missing file, truncation,
+// checksum mismatch, version mismatch, malformed body — is a cache miss,
+// never a crash. The store is best-effort by design: an unwritable
+// directory degrades to cache-off.
 
 #include <atomic>
 #include <cstdint>

@@ -9,7 +9,7 @@
 
 #include <filesystem>
 
-#if defined(__linux__)
+#ifndef _WIN32
 #include <unistd.h>
 #endif
 
@@ -25,7 +25,7 @@ void atomic_write_file(const std::string& path, const std::string& content) {
   static std::atomic<std::uint64_t> seq{0};
   const fs::path target(path);
   const fs::path dir = target.has_parent_path() ? target.parent_path() : fs::path(".");
-#if defined(__linux__)
+#ifndef _WIN32
   const long pid = static_cast<long>(::getpid());
 #else
   const long pid = 0;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "topology/graph.h"
+#include "topology/subdivision.h"
 
 namespace trichroma::protocols {
 
@@ -44,7 +45,6 @@ runtime::ProcessBody agreement_process(AgreementShared& shared, const Task& task
                                        VertexId input, AgreementOutcome& out,
                                        bool pick_largest) {
   VertexPool& pool = *task.pool;
-  ValuePool& values = pool.values();
   const Color me = pool.color(input);
   std::size_t& ops = out.operations;
 
@@ -54,7 +54,7 @@ runtime::ProcessBody agreement_process(AgreementShared& shared, const Task& task
   ++ops;
 
   // (2) Run the color-agnostic algorithm A_C: IIS rounds + decision map.
-  const ValueId view_tag = values.of_string("view");
+  const ViewInterner views(pool);
   VertexId current = input;
   for (int r = 0; r < algorithm.rounds; ++r) {
     co_await Turn{OpPhase::IsWrite};
@@ -67,10 +67,9 @@ runtime::ProcessBody agreement_process(AgreementShared& shared, const Task& task
     members.reserve(seen.size());
     for (const auto& [who, value] : seen) {
       (void)who;
-      members.push_back(values.of_int(static_cast<std::int64_t>(value)));
+      members.push_back(views.member(VertexId{value}));
     }
-    current = pool.vertex(
-        me, values.of_tuple({view_tag, values.of_set(std::move(members))}));
+    current = views.vertex(me, std::move(members));
   }
   if (!algorithm.decision.defined(current)) {
     throw std::logic_error("A_C decision map undefined on a reachable view");

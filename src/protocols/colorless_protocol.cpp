@@ -1,27 +1,17 @@
 #include "protocols/colorless_protocol.h"
 
-#include "topology/subdivision.h"
+#include "solver/engine.h"
 
 namespace trichroma::protocols {
 
 std::optional<ColorlessAlgorithm> synthesize_colorless(const Task& task,
                                                        int max_radius,
                                                        std::size_t node_cap) {
-  MapSearchOptions options;
-  options.chromatic = false;
-  options.node_cap = node_cap;
-  for (int r = 0; r <= max_radius; ++r) {
-    const SubdividedComplex domain =
-        chromatic_subdivision(*task.pool, task.input, r);
-    MapSearchResult result = find_decision_map(*task.pool, domain, task, options);
-    if (result.found) {
-      ColorlessAlgorithm alg;
-      alg.rounds = r;
-      alg.decision = std::move(result.map);
-      return alg;
-    }
-  }
-  return std::nullopt;
+  ProbeEngine probe(task, ProbeKind::ColorlessDirect);
+  probe.run(EngineBudget{.max_radius = max_radius, .node_cap = node_cap},
+            CancellationToken{});
+  if (!probe.found()) return std::nullopt;
+  return ColorlessAlgorithm{probe.found_radius(), probe.witness()};
 }
 
 }  // namespace trichroma::protocols

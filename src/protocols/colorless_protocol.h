@@ -5,9 +5,10 @@
 // A color-agnostic algorithm for a task lets processes starting on an input
 // simplex σ decide output vertices that all lie on one simplex of Δ(σ) —
 // but a process may land on a vertex whose color is not its own. We obtain
-// one constructively: the solver searches for a color-agnostic decision map
-// δ : Ch^r(I) → O carried by Δ, and the protocol is "run r IIS rounds,
-// decide δ(view)".
+// one constructively: the solver's color-agnostic probe
+// (ProbeEngine(task, ProbeKind::ColorlessDirect), solver/engine.h) searches
+// for a decision map δ : Ch^r(I) → O carried by Δ, and the protocol is "run
+// r IIS rounds, decide δ(view)".
 
 #include <optional>
 
@@ -23,8 +24,9 @@ struct ColorlessAlgorithm {
   VertexMap decision;  ///< defined on every vertex of Ch^rounds(task.input)
 };
 
-/// Searches radii 0..max_radius for a color-agnostic decision map on
-/// `task`. Returns nullopt if none is found within the budget.
+/// Runs the color-agnostic probe on `task` over radii 0..max_radius, each
+/// rung capped at `node_cap` search nodes. Returns nullopt if no map is
+/// found within the budget.
 std::optional<ColorlessAlgorithm> synthesize_colorless(
     const Task& task, int max_radius, std::size_t node_cap = 20'000'000);
 

@@ -1,5 +1,7 @@
 #include "protocols/iis.h"
 
+#include "topology/subdivision.h"
+
 namespace trichroma::protocols {
 
 using runtime::OpPhase;
@@ -8,8 +10,7 @@ using runtime::Turn;
 runtime::ProcessBody iis_process(IisShared& shared, VertexPool& pool, int pid,
                                  VertexId input, int rounds,
                                  const VertexMap* decision_map, IisOutcome& out) {
-  ValuePool& values = pool.values();
-  const ValueId view_tag = values.of_string("view");
+  const ViewInterner views(pool);
   const Color color = pool.color(input);
 
   VertexId current = input;
@@ -18,16 +19,14 @@ runtime::ProcessBody iis_process(IisShared& shared, VertexPool& pool, int pid,
     shared.objects[static_cast<std::size_t>(r)].write(pid, raw(current));
     co_await Turn{OpPhase::IsRead};
     const auto seen = shared.objects[static_cast<std::size_t>(r)].snap();
-    // Intern the view exactly like topology/subdivision.h: the vertex for
-    // (my color, set of vertices seen).
+    // The vertex for (my color, set of vertices seen), as Ch^r interns it.
     std::vector<ValueId> members;
     members.reserve(seen.size());
     for (const auto& [who, value] : seen) {
       (void)who;
-      members.push_back(values.of_int(static_cast<std::int64_t>(value)));
+      members.push_back(views.member(VertexId{value}));
     }
-    current = pool.vertex(
-        color, values.of_tuple({view_tag, values.of_set(std::move(members))}));
+    current = views.vertex(color, std::move(members));
   }
   out.view = current;
   if (decision_map != nullptr && decision_map->defined(current)) {

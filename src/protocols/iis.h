@@ -5,10 +5,10 @@
 // immediate-snapshot object and takes the immediate snapshot; its knowledge
 // becomes the view (set of values seen). After r rounds the views of all
 // processes form a facet of Ch^r(I), the r-fold standard chromatic
-// subdivision — the protocol vertex is interned with exactly the same
-// ("view", {ids}) encoding as topology/subdivision.h, so the combinatorial
-// subdivision and the operational protocol coincide vertex-for-vertex (a
-// property the tests verify by exhaustive schedule enumeration).
+// subdivision — the protocol vertex is interned through the same
+// ViewInterner as topology/subdivision.h, so the combinatorial subdivision
+// and the operational protocol coincide vertex-for-vertex (a property the
+// tests verify by exhaustive schedule enumeration).
 //
 // Supplying a decision map (a solver witness δ : Ch^r(I) → O) turns the
 // protocol into a wait-free solution of the task: decide δ(final view).

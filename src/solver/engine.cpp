@@ -349,4 +349,12 @@ void ProbeEngine::execute(const EngineBudget& budget, EngineReport& report) {
   report.edge_mask_misses = images.edge_mask_misses();
 }
 
+MapSearchResult colorless_probe(const Task& task, int max_radius,
+                                std::size_t node_cap) {
+  ProbeEngine probe(task, ProbeKind::ColorlessDirect);
+  probe.run(EngineBudget{.max_radius = max_radius, .node_cap = node_cap},
+            CancellationToken{});
+  return probe.last();
+}
+
 }  // namespace trichroma

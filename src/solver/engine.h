@@ -279,8 +279,9 @@ enum class ProbeKind {
   DirectChromatic,
   /// Color-agnostic map into T' (Lemma 5.3 / the Figure-7 algorithm).
   LinkConnectedAgnostic,
-  /// Color-agnostic map on the task itself (the standalone colorless probe
-  /// of the hourglass demonstrations; never scheduled by the pipeline).
+  /// Color-agnostic map on the task itself: `colorless_probe` (the hourglass
+  /// demonstrations) and protocols::synthesize_colorless (the A_C that the
+  /// Figure-7 algorithm runs on T'); never scheduled by the pipeline.
   ColorlessDirect,
 };
 
@@ -357,5 +358,12 @@ class ProbeEngine final : public AnalysisEngine {
   int seeded_images_ = 0;
   MapSearchResult last_;
 };
+
+/// One ProbeEngine(task, ProbeKind::ColorlessDirect) run: searches for a
+/// color-agnostic decision map on the task itself (not T'), radii
+/// 0..max_radius. Shows the hourglass phenomenon: the colorless ACT
+/// condition can hold while the chromatic task is unsolvable.
+MapSearchResult colorless_probe(const Task& task, int max_radius,
+                                std::size_t node_cap = 20'000'000);
 
 }  // namespace trichroma

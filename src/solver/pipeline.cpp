@@ -28,15 +28,6 @@ EngineBudget budget_from(const SolvabilityOptions& options) {
   return budget;
 }
 
-EngineReport make_skipped(const char* name, EngineSide side, int precedence) {
-  EngineReport report;
-  report.name = name;
-  report.side = side;
-  report.precedence = precedence;
-  report.status = EngineStatus::Skipped;
-  return report;
-}
-
 std::size_t facet_count(const SimplicialComplex& k) {
   const int top = k.dimension();
   return top < 0 ? 0 : k.count(top);
@@ -45,26 +36,25 @@ std::size_t facet_count(const SimplicialComplex& k) {
 // Everything the impossibility chain produces. The chain runs on a clone of
 // the task (characterize and the subdivisions intern into the pool), so its
 // engines' vertex ids are only meaningful against the clone's pool — which
-// `characterization` keeps alive.
+// `characterization` keeps alive. Each report starts as its engine's
+// Skipped placeholder (an engine only stamps its identity on `task`).
 struct ImpossibilityChain {
-  EngineReport characterize =
-      make_skipped("characterize", EngineSide::Support, 1);
-  EngineReport cor55 = make_skipped("corollary-5.5", EngineSide::Impossibility,
-                                    engine_precedence::kCorollary55);
-  EngineReport cor56 = make_skipped("corollary-5.6", EngineSide::Impossibility,
-                                    engine_precedence::kCorollary56);
-  EngineReport csp =
-      make_skipped("post-split-connectivity-csp", EngineSide::Impossibility,
-                   engine_precedence::kPostSplitCsp);
-  EngineReport homology =
-      make_skipped("post-split-homology", EngineSide::Impossibility,
-                   engine_precedence::kHomology);
-  EngineReport agnostic =
-      make_skipped("tp-agnostic-probe", EngineSide::Possibility,
-                   engine_precedence::kAgnosticProbe);
-  EngineReport generic =
-      make_skipped("generic-connectivity-csp", EngineSide::Impossibility,
-                   engine_precedence::kGenericConnectivity);
+  explicit ImpossibilityChain(const Task& task)
+      : characterize(CharacterizeEngine(task).skipped()),
+        cor55(Corollary55Engine(task).skipped()),
+        cor56(Corollary56Engine(task).skipped()),
+        csp(PostSplitCspEngine(task).skipped()),
+        homology(HomologyEngine(task).skipped()),
+        agnostic(ProbeEngine(task, ProbeKind::LinkConnectedAgnostic).skipped()),
+        generic(GenericConnectivityEngine(task).skipped()) {}
+
+  EngineReport characterize;
+  EngineReport cor55;
+  EngineReport cor56;
+  EngineReport csp;
+  EngineReport homology;
+  EngineReport agnostic;
+  EngineReport generic;
 
   std::shared_ptr<CharacterizationResult> characterization;
   CorollaryResult cor55_result;
@@ -111,7 +101,6 @@ void run_impossibility_chain(const Task& chain_task,
   chain.csp = csp.run(budget, token);
   if (chain.csp.status == EngineStatus::Conclusive) {
     chain.concluded_impossible = true;
-    chain.homology = HomologyEngine(tp).skipped();
     return;
   }
 
@@ -153,9 +142,10 @@ void merge_unknown_reason(const SolvabilityOptions& options,
   // chromatic rungs first, then the T'-agnostic rungs.
   std::vector<std::string> capped;
   std::vector<std::string> overflowed;
-  for (const char* name : {"chromatic-probe", "tp-agnostic-probe"}) {
+  for (const int probe : {engine_precedence::kChromaticProbe,
+                          engine_precedence::kAgnosticProbe}) {
     for (const EngineReport& e : report.engines) {
-      if (e.name != name) continue;
+      if (e.precedence != probe) continue;
       capped.insert(capped.end(), e.capped.begin(), e.capped.end());
       overflowed.insert(overflowed.end(), e.overflowed.begin(),
                         e.overflowed.end());
@@ -419,7 +409,7 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
   ProbeEngine chromatic(task, ProbeKind::DirectChromatic);
   if (probe_seed != nullptr) chromatic.set_seed(probe_seed);
   EngineReport chromatic_report = chromatic.skipped();
-  ImpossibilityChain chain;
+  ImpossibilityChain chain(task);
 
   // The ladder: impossibility chain, chromatic probe, T'-agnostic probe,
   // each skipped once an earlier engine concluded.

@@ -1,7 +1,17 @@
 #pragma once
-// The verdict pipeline: runs AnalysisEngine units over a task in a fixed
-// sequential ladder and merges their reports into one deterministic
-// verdict.
+// The verdict pipeline, the one way to decide a task: runs AnalysisEngine
+// units over a task in a fixed sequential ladder and merges their reports
+// into one deterministic verdict.
+//
+// Coverage. Two-process tasks are decided exactly (Proposition 5.4: solvable
+// iff the connectivity CSP is feasible). Three-process tasks get the
+// paper's Theorem 5.1 procedure. Tasks of four or more processes get only
+// the generic engines — the connectivity CSP for impossibility, the direct
+// decision-map search (with n-ary simplex constraints) for possibility —
+// so e.g. (4,3)-set agreement returns Unknown. Existence of a continuous
+// map is undecidable in general, so a decide returns Unknown whenever every
+// engine is inconclusive within the budget; all of the paper's examples are
+// decided at r <= 2.
 //
 // Scheduling. One task, one thread: the engines run in the classic ladder
 // order — the impossibility chain (characterize → Corollaries 5.5/5.6 →
@@ -111,8 +121,7 @@ struct PipelineReport {
   std::vector<EngineReport> engines;
 };
 
-/// Pipeline output: the merged report plus the witness payload the
-/// decide_solvability façade re-exposes.
+/// Pipeline output: the merged report plus the witness payload.
 struct PipelineResult {
   PipelineReport report;
 
@@ -131,8 +140,8 @@ struct PipelineResult {
   CorollaryResult cor56;
 };
 
-/// Runs the full engine pipeline on `task`. decide_solvability is a thin
-/// façade over this; call it directly to get the structured report.
+/// Decides `task`: runs the full engine pipeline and returns the merged
+/// report (verdict, reason, radius, per-engine reports) and the witness.
 PipelineResult run_pipeline(const Task& task,
                             const SolvabilityOptions& options = {});
 

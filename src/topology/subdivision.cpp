@@ -17,6 +17,16 @@ Simplex SubdividedComplex::carrier_of(const Simplex& s) const {
   return out;
 }
 
+std::vector<VertexId> view_of(const VertexPool& pool, VertexId v) {
+  const ValuePool& values = pool.values();
+  const ValueId view = values.elements(pool.value(v))[1];  // ("view", {...})
+  std::vector<VertexId> seen;
+  for (const ValueId member : values.elements(view)) {
+    seen.push_back(VertexId{static_cast<std::uint32_t>(values.as_int(member))});
+  }
+  return seen;
+}
+
 SubdividedComplex identity_subdivision(const SimplicialComplex& base) {
   SubdividedComplex out;
   out.complex = base;
@@ -125,21 +135,20 @@ SubdividedComplex subdivide_once(VertexPool& pool,
   TRI_SPAN("topology/subdivide_once");
   obs::MetricsRegistry::global().counter("topology.subdivide.builds").add();
   SubdividedComplex out;
-  ValuePool& values = pool.values();
-  const ValueId view_tag = values.of_string("view");
+  const ViewInterner views(pool);
   std::size_t stamps = 0;
 
   // Stamp the per-dimension template onto every simplex. Pool-state
   // equivalence with a per-simplex ordered-partition enumeration (the
   // oracle in tests/topology_template_test.cpp): uniq is in
-  // first-occurrence order of the same traversal, a vertex's (of_int
-  // members, of_set, of_tuple, vertex) intern sequence is reproduced per
-  // uniq entry, and repeated interning is a no-op — so every pool id comes
-  // out identical.
+  // first-occurrence order of the same traversal, a vertex's (members,
+  // then ViewInterner::vertex) intern sequence is reproduced per uniq
+  // entry, and repeated interning is a no-op — so every pool id comes out
+  // identical.
   CompiledComplex::Builder builder;
   std::vector<VertexId> verts;     // uniq index → interned vertex, per σ
   std::vector<ValueId> members;
-  std::array<ValueId, 8> pos_int;  // of_int(raw(σ[i])), per σ
+  std::array<ValueId, 8> pos_int;  // views.member(σ[i]), per σ
   // Canonical (sorted) enumeration, as in that oracle: warm-started
   // ladders (io/store.h) rebuild `prev` from content, so the stamp order —
   // and with it every interned id of the next level — must not depend on
@@ -149,20 +158,17 @@ SubdividedComplex subdivide_once(VertexPool& pool,
     const std::size_t m = sv.size();
     const ChTemplate& tpl = ch_template(m);
     // First facet of the enumeration is the all-singletons partition in
-    // ascending order, so upfront ascending of_int interning matches the
+    // ascending order, so upfront ascending member interning matches the
     // enumeration's first-occurrence order.
-    for (std::size_t i = 0; i < m; ++i) {
-      pos_int[i] = values.of_int(static_cast<std::int64_t>(raw(sv[i])));
-    }
+    for (std::size_t i = 0; i < m; ++i) pos_int[i] = views.member(sv[i]);
     verts.clear();
     for (const ChTemplate::TVert& tv : tpl.uniq) {
       members.clear();
       for (std::size_t i = 0; i < m; ++i) {
         if (tv.view & (1u << i)) members.push_back(pos_int[i]);
       }
-      const ValueId view_value = values.of_tuple(
-          {view_tag, values.of_set({members.begin(), members.end()})});
-      const VertexId nv = pool.vertex(pool.color(sv[tv.pos]), view_value);
+      const VertexId nv =
+          views.vertex(pool.color(sv[tv.pos]), {members.begin(), members.end()});
       if (out.carrier.count(nv) == 0) {
         Simplex carrier;
         for (std::size_t i = 0; i < m; ++i) {

@@ -42,6 +42,40 @@ struct SubdividedComplex {
   Simplex carrier_of(const Simplex& s) const;
 };
 
+/// The pool encoding of a Ch vertex: (color, ("view", {m, ...})), one member
+/// m = of_int(raw id) per vertex the view saw. subdivide_once, the store's
+/// ladder loader and the IIS and Figure-7 processes all intern through it,
+/// so a combinatorial and an operational view of one execution are the
+/// same vertex. Constructing one interns the "view" tag: each caller
+/// constructs it where that tag belongs in its interning sequence, and
+/// interns members itself, so value ids, vertex ids and warm-start pool
+/// state follow the caller's order.
+class ViewInterner {
+ public:
+  explicit ViewInterner(VertexPool& pool)
+      : pool_(pool), tag_(pool.values().of_string("view")) {}
+
+  /// The member value of a seen vertex.
+  ValueId member(VertexId seen) const {
+    return pool_.values().of_int(static_cast<std::int64_t>(raw(seen)));
+  }
+
+  /// Interns the vertex of `color` whose view holds `members`.
+  VertexId vertex(Color color, std::vector<ValueId> members) const {
+    ValuePool& values = pool_.values();
+    return pool_.vertex(
+        color, values.of_tuple({tag_, values.of_set(std::move(members))}));
+  }
+
+ private:
+  VertexPool& pool_;
+  ValueId tag_;
+};
+
+/// The vertices a Ch vertex's view saw (decodes ViewInterner's encoding),
+/// in member value order.
+std::vector<VertexId> view_of(const VertexPool& pool, VertexId v);
+
 /// The identity subdivision (r = 0): each vertex is its own carrier.
 SubdividedComplex identity_subdivision(const SimplicialComplex& base);
 

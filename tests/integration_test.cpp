@@ -6,7 +6,7 @@
 #include "core/characterization.h"
 #include "core/obstructions.h"
 #include "protocols/pipeline.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/canonical.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
@@ -38,8 +38,9 @@ TEST(Integration, VerdictTableMatchesTheory) {
       {zoo::approximate_agreement_2(2), Verdict::Solvable},
   };
   for (const Row& row : table) {
-    const SolvabilityResult r = decide_solvability(row.task);
-    EXPECT_EQ(r.verdict, row.expected) << row.task.name << ": " << r.reason;
+    const PipelineResult r = run_pipeline(row.task);
+    EXPECT_EQ(r.report.verdict, row.expected)
+        << row.task.name << ": " << r.report.reason;
   }
 }
 
@@ -49,7 +50,7 @@ TEST(Integration, Hourglass61Story) {
   // (a) the colorless ACT condition holds: a color-agnostic map exists;
   EXPECT_TRUE(colorless_probe(t, 2).found);
   // (b) yet the chromatic task is unsolvable;
-  EXPECT_EQ(decide_solvability(t).verdict, Verdict::Unsolvable);
+  EXPECT_EQ(run_pipeline(t).report.verdict, Verdict::Unsolvable);
   // (c) the obstruction is the LAP: splitting it drops the impossibility
   //     "dimension" to a consensus-style disconnection (Corollary 5.5);
   const CharacterizationResult c = characterize(t);
@@ -88,18 +89,18 @@ TEST(Integration, SplittingPreservesSolvabilityOnRandomTasks) {
     params.num_input_facets = 1 + static_cast<int>(seed % 3);
     const Task t = zoo::random_task(params);
     const SolvabilityOptions options{.max_radius = 1};
-    const SolvabilityResult direct = decide_solvability(t, options);
+    const PipelineResult direct = run_pipeline(t, options);
     const CharacterizationResult c = characterize(t);
     const ConnectivityCsp csp = connectivity_csp(c.link_connected);
     const HomologyObstruction hom = homology_boundary_check(c.link_connected);
-    if (direct.verdict == Verdict::Solvable) {
+    if (direct.report.verdict == Verdict::Solvable) {
       ++solvable_seen;
       EXPECT_TRUE(csp.feasible) << t.name;
       EXPECT_TRUE(hom.feasible) << t.name;
     }
     if (!csp.feasible || !hom.feasible) {
       ++obstructed_seen;
-      EXPECT_NE(direct.verdict, Verdict::Solvable) << t.name;
+      EXPECT_NE(direct.report.verdict, Verdict::Solvable) << t.name;
     }
   }
   // The sweep must actually exercise both sides.
@@ -108,12 +109,12 @@ TEST(Integration, SplittingPreservesSolvabilityOnRandomTasks) {
 }
 
 TEST(Integration, EndToEndSolverAgreesWithVerdict) {
-  // Whenever decide_solvability says Solvable for a single-facet task, the
+  // Whenever run_pipeline says Solvable for a single-facet task, the
   // end-to-end protocol stack must execute correctly.
   const std::vector<Task> tasks = {zoo::subdivision_task(1), zoo::renaming(4),
                                    zoo::identity_task()};
   for (const Task& t : tasks) {
-    ASSERT_EQ(decide_solvability(t).verdict, Verdict::Solvable) << t.name;
+    ASSERT_EQ(run_pipeline(t).report.verdict, Verdict::Solvable) << t.name;
     const auto solver = protocols::build_end_to_end(t, 2);
     ASSERT_TRUE(solver.has_value()) << t.name;
     const Simplex facet = t.input.facets().front();
@@ -147,8 +148,8 @@ TEST(Integration, SolvableVerdictsComeWithProtocols) {
   // A Solvable verdict with a chromatic witness must validate as a
   // decision map — the verdict *is* an algorithm.
   const Task t = zoo::approximate_agreement(2);
-  const SolvabilityResult r = decide_solvability(t);
-  ASSERT_EQ(r.verdict, Verdict::Solvable);
+  const PipelineResult r = run_pipeline(t);
+  ASSERT_EQ(r.report.verdict, Verdict::Solvable);
   ASSERT_TRUE(r.has_chromatic_witness);
   ASSERT_NE(r.witness_domain, nullptr);
   EXPECT_TRUE(

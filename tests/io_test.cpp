@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "io/task_format.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
 namespace trichroma {
@@ -118,7 +118,7 @@ TEST(Io, RoundTripPreservesStructureAndVerdicts) {
     EXPECT_EQ(back.output.count(0), t.output.count(0)) << t.name;
     EXPECT_EQ(back.output.count(2), t.output.count(2)) << t.name;
     EXPECT_TRUE(back.validate().empty()) << t.name;
-    EXPECT_EQ(decide_solvability(back).verdict, decide_solvability(t).verdict)
+    EXPECT_EQ(run_pipeline(back).report.verdict, run_pipeline(t).report.verdict)
         << t.name;
   }
 }

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/lap.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 #include "topology/chromatic.h"
 #include "topology/subdivision.h"
@@ -53,16 +53,16 @@ TEST(FourProcess, TasksValidate) {
 }
 
 TEST(FourProcess, IdentitySolvableAtRadiusZero) {
-  const SolvabilityResult r = decide_solvability(identity_4());
-  EXPECT_EQ(r.verdict, Verdict::Solvable);
-  EXPECT_EQ(r.radius, 0);
+  const PipelineResult r = run_pipeline(identity_4());
+  EXPECT_EQ(r.report.verdict, Verdict::Solvable);
+  EXPECT_EQ(r.report.radius, 0);
 }
 
 TEST(FourProcess, ConsensusUnsolvableViaConnectivity) {
   SolvabilityOptions options;
   options.max_radius = 0;  // the CSP decides; no search needed
-  const SolvabilityResult r = decide_solvability(zoo::consensus(4), options);
-  EXPECT_EQ(r.verdict, Verdict::Unsolvable);
+  const PipelineResult r = run_pipeline(zoo::consensus(4), options);
+  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
 }
 
 TEST(FourProcess, SetAgreementHonestlyUnknown) {
@@ -71,15 +71,15 @@ TEST(FourProcess, SetAgreementHonestlyUnknown) {
   // the ladder must return Unknown rather than a wrong verdict.
   SolvabilityOptions options;
   options.max_radius = 0;  // r=1 takes ~minutes to exhaust; r=0 suffices here
-  const SolvabilityResult r = decide_solvability(zoo::set_agreement(4, 3), options);
-  EXPECT_EQ(r.verdict, Verdict::Unknown);
+  const PipelineResult r = run_pipeline(zoo::set_agreement(4, 3), options);
+  EXPECT_EQ(r.report.verdict, Verdict::Unknown);
 }
 
 TEST(FourProcess, SetAgreementWithSlackSolvable) {
   // (4,4)-set agreement is trivial: everyone decides its own input.
-  const SolvabilityResult r = decide_solvability(zoo::set_agreement(4, 4));
-  EXPECT_EQ(r.verdict, Verdict::Solvable);
-  EXPECT_EQ(r.radius, 0);
+  const PipelineResult r = run_pipeline(zoo::set_agreement(4, 4));
+  EXPECT_EQ(r.report.verdict, Verdict::Solvable);
+  EXPECT_EQ(r.report.radius, 0);
 }
 
 TEST(FourProcess, QuaternaryConstraintsAreEnforced) {

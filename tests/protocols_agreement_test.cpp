@@ -3,12 +3,18 @@
 // completion, executed on the shared-memory simulator, decisions checked
 // against Δ.
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "core/characterization.h"
 #include "protocols/chromatic_agreement.h"
 #include "protocols/pipeline.h"
 #include "protocols/verify.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
 namespace trichroma {
@@ -210,15 +216,49 @@ TEST(Agreement, StepCountTracksLinkLength) {
 }
 
 
+TEST(Synthesis, CatalogAlgorithmsMatchGoldenFile) {
+  // A_C on T' for every three-process catalog task that has one at radius
+  // <= 1: the rounds and the decision table, rows in vertex-id order, so the
+  // golden file pins the maps and the ids the probe interned.
+  std::string table;
+  for (const zoo::CatalogEntry& entry : zoo::catalog()) {
+    const Task task = entry.build();
+    if (task.num_processes != 3) continue;
+    const CharacterizationResult c = characterize(task);
+    const Task& tp = c.link_connected;
+    const auto algorithm = synthesize_colorless(tp, 1);
+    if (!algorithm.has_value()) continue;
+    std::vector<std::pair<VertexId, VertexId>> rows(
+        algorithm->decision.entries().begin(),
+        algorithm->decision.entries().end());
+    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+      return raw(a.first) < raw(b.first);
+    });
+    table += "task " + std::string(entry.name) + " rounds " +
+             std::to_string(algorithm->rounds) + "\n";
+    for (const auto& [view, decision] : rows) {
+      table += "  " + tp.pool->name(view) + " -> " + tp.pool->name(decision) +
+               "\n";
+    }
+  }
+  const std::string path =
+      std::string(TRICHROMA_GOLDEN_DIR) + "/synthesized_colorless.txt";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(table, golden.str());
+}
+
 TEST(Verify, ExhaustiveVerificationOfSolverWitnesses) {
   // Every Solvable verdict's witness must survive model checking against
   // all IIS executions of all participant subsets.
   for (const Task& t : {zoo::subdivision_task(1), zoo::identity_task(),
                         zoo::renaming(4), zoo::weak_symmetry_breaking(3)}) {
-    const SolvabilityResult r = decide_solvability(t);
-    ASSERT_EQ(r.verdict, Verdict::Solvable) << t.name;
+    const PipelineResult r = run_pipeline(t);
+    ASSERT_EQ(r.report.verdict, Verdict::Solvable) << t.name;
     ASSERT_TRUE(r.has_chromatic_witness) << t.name;
-    const auto v = protocols::verify_decision_map(t, r.witness, r.radius);
+    const auto v = protocols::verify_decision_map(t, r.witness, r.report.radius);
     EXPECT_TRUE(v.ok) << t.name << ": " << v.first_failure;
     EXPECT_GT(v.executions, 0u);
   }
@@ -227,7 +267,7 @@ TEST(Verify, ExhaustiveVerificationOfSolverWitnesses) {
 TEST(Verify, CatchesABrokenMap) {
   // Corrupt a valid witness: swap one decision to a wrong-color vertex.
   const Task t = zoo::subdivision_task(1);
-  const SolvabilityResult r = decide_solvability(t);
+  const PipelineResult r = run_pipeline(t);
   ASSERT_TRUE(r.has_chromatic_witness);
   VertexMap broken = r.witness;
   const auto& entries = r.witness.entries();
@@ -241,7 +281,7 @@ TEST(Verify, CatchesABrokenMap) {
       break;
     }
   }
-  const auto v = protocols::verify_decision_map(t, broken, r.radius);
+  const auto v = protocols::verify_decision_map(t, broken, r.report.radius);
   EXPECT_FALSE(v.ok);
   EXPECT_FALSE(v.first_failure.empty());
 }

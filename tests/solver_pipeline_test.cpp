@@ -8,7 +8,6 @@
 
 #include "io/report.h"
 #include "solver/pipeline.h"
-#include "solver/solvability.h"
 #include "tasks/zoo.h"
 
 namespace trichroma {
@@ -107,11 +106,11 @@ TEST_P(SchedulerDeterminism, VerdictAndReasonMatchGoldenTable) {
     const Task task = catalog_entry(row.name).build();
     SolvabilityOptions options;
     options.threads = threads;
-    const SolvabilityResult r = decide_solvability(task, options);
-    EXPECT_EQ(r.verdict, row.verdict) << row.name << " @ " << threads;
-    EXPECT_EQ(r.reason, row.reason) << row.name << " @ " << threads;
-    EXPECT_EQ(r.radius, row.radius) << row.name << " @ " << threads;
-    EXPECT_EQ(r.via_characterization, row.via_characterization)
+    const PipelineResult r = run_pipeline(task, options);
+    EXPECT_EQ(r.report.verdict, row.verdict) << row.name << " @ " << threads;
+    EXPECT_EQ(r.report.reason, row.reason) << row.name << " @ " << threads;
+    EXPECT_EQ(r.report.radius, row.radius) << row.name << " @ " << threads;
+    EXPECT_EQ(r.report.via_characterization, row.via_characterization)
         << row.name << " @ " << threads;
   }
 }

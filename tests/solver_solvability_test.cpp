@@ -4,133 +4,151 @@
 
 #include <gtest/gtest.h>
 
-#include "solver/solvability.h"
+#include "protocols/verify.h"
+#include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
 namespace trichroma {
 namespace {
 
 TEST(Solvability, IdentitySolvable) {
-  const SolvabilityResult r = decide_solvability(zoo::identity_task());
-  EXPECT_EQ(r.verdict, Verdict::Solvable);
-  EXPECT_EQ(r.radius, 0);
+  const PipelineResult r = run_pipeline(zoo::identity_task());
+  EXPECT_EQ(r.report.verdict, Verdict::Solvable);
+  EXPECT_EQ(r.report.radius, 0);
   EXPECT_TRUE(r.has_chromatic_witness);
 }
 
 TEST(Solvability, SubdivisionTasksSolvableAtTheirRadius) {
   for (int rounds = 0; rounds <= 2; ++rounds) {
-    const SolvabilityResult r = decide_solvability(zoo::subdivision_task(rounds));
-    EXPECT_EQ(r.verdict, Verdict::Solvable);
-    EXPECT_EQ(r.radius, rounds);
+    const PipelineResult r = run_pipeline(zoo::subdivision_task(rounds));
+    EXPECT_EQ(r.report.verdict, Verdict::Solvable);
+    EXPECT_EQ(r.report.radius, rounds);
   }
 }
 
 TEST(Solvability, RenamingSolvable) {
-  const SolvabilityResult r = decide_solvability(zoo::renaming(5));
-  EXPECT_EQ(r.verdict, Verdict::Solvable);
+  const PipelineResult r = run_pipeline(zoo::renaming(5));
+  EXPECT_EQ(r.report.verdict, Verdict::Solvable);
 }
 
 TEST(Solvability, ApproximateAgreementSolvable) {
-  const SolvabilityResult r = decide_solvability(zoo::approximate_agreement(2));
-  EXPECT_EQ(r.verdict, Verdict::Solvable);
+  const PipelineResult r = run_pipeline(zoo::approximate_agreement(2));
+  EXPECT_EQ(r.report.verdict, Verdict::Solvable);
 }
 
 TEST(Solvability, ConsensusUnsolvable) {
-  const SolvabilityResult r = decide_solvability(zoo::consensus(3));
-  EXPECT_EQ(r.verdict, Verdict::Unsolvable);
-  EXPECT_TRUE(r.via_characterization);
+  const PipelineResult r = run_pipeline(zoo::consensus(3));
+  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
+  EXPECT_TRUE(r.report.via_characterization);
 }
 
 TEST(Solvability, SetAgreementUnsolvable) {
   // The classic impossibility — caught by the homological engine, since
   // 2-set agreement has no LAPs at all.
-  const SolvabilityResult r = decide_solvability(zoo::set_agreement_32());
-  EXPECT_EQ(r.verdict, Verdict::Unsolvable);
+  const PipelineResult r = run_pipeline(zoo::set_agreement_32());
+  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
 }
 
 TEST(Solvability, HourglassUnsolvableDespiteColorlessMap) {
   const Task t = zoo::hourglass();
-  const SolvabilityResult r = decide_solvability(t);
-  EXPECT_EQ(r.verdict, Verdict::Unsolvable);
+  const PipelineResult r = run_pipeline(t);
+  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
   // The colorless probe demonstrates the gap the paper's characterization
   // explains: the colorless ACT condition holds.
   EXPECT_TRUE(colorless_probe(t, 2).found);
 }
 
 TEST(Solvability, PinwheelUnsolvable) {
-  const SolvabilityResult r = decide_solvability(zoo::pinwheel());
-  EXPECT_EQ(r.verdict, Verdict::Unsolvable);
+  const PipelineResult r = run_pipeline(zoo::pinwheel());
+  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
 }
 
 TEST(Solvability, MajorityConsensusUnsolvable) {
-  const SolvabilityResult r = decide_solvability(zoo::majority_consensus());
-  EXPECT_EQ(r.verdict, Verdict::Unsolvable);
+  const PipelineResult r = run_pipeline(zoo::majority_consensus());
+  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
 }
 
 TEST(Solvability, LoopAgreementVerdicts) {
-  EXPECT_EQ(decide_solvability(zoo::loop_agreement_filled_triangle()).verdict,
+  EXPECT_EQ(run_pipeline(zoo::loop_agreement_filled_triangle()).report.verdict,
             Verdict::Solvable);
-  EXPECT_EQ(decide_solvability(zoo::loop_agreement_hollow_triangle()).verdict,
+  EXPECT_EQ(run_pipeline(zoo::loop_agreement_hollow_triangle()).report.verdict,
             Verdict::Unsolvable);
 }
 
 TEST(Solvability, Fig3RunningExampleSolvable) {
   // Δ offers a full facet for every input facet; constant-per-facet maps
   // exist at radius 0.
-  const SolvabilityResult r = decide_solvability(zoo::fig3_running_example());
-  EXPECT_EQ(r.verdict, Verdict::Solvable);
+  const PipelineResult r = run_pipeline(zoo::fig3_running_example());
+  EXPECT_EQ(r.report.verdict, Verdict::Solvable);
+}
+
+// Two processes: run_pipeline's exact branch, one Proposition 5.4 engine.
+void expect_exact_two_process(const PipelineResult& r) {
+  EXPECT_EQ(r.report.schedule, "exact");
+  ASSERT_EQ(r.report.engines.size(), 1u);
+  EXPECT_EQ(r.report.engines[0].name, "two-process-csp");
+  EXPECT_EQ(r.report.engines[0].status, EngineStatus::Conclusive);
 }
 
 TEST(TwoProcess, ConsensusUnsolvable) {
-  const SolvabilityResult r = decide_two_process(zoo::consensus_2());
-  EXPECT_EQ(r.verdict, Verdict::Unsolvable);
+  const PipelineResult r = run_pipeline(zoo::consensus_2());
+  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
+  EXPECT_EQ(r.report.reason,
+            "Proposition 5.4: no continuous map |I| -> |O| carried by Δ (no "
+            "corner assignment is component-consistent on every input edge)");
+  expect_exact_two_process(r);
 }
 
 TEST(TwoProcess, ApproximateAgreementSolvable) {
-  const SolvabilityResult r = decide_two_process(zoo::approximate_agreement_2(2));
-  EXPECT_EQ(r.verdict, Verdict::Solvable);
-}
-
-TEST(TwoProcess, DispatchFromDecideSolvability) {
-  EXPECT_EQ(decide_solvability(zoo::consensus_2()).verdict, Verdict::Unsolvable);
-  EXPECT_EQ(decide_solvability(zoo::approximate_agreement_2(2)).verdict,
-            Verdict::Solvable);
+  const PipelineResult r = run_pipeline(zoo::approximate_agreement_2(2));
+  EXPECT_EQ(r.report.verdict, Verdict::Solvable);
+  EXPECT_EQ(r.report.reason,
+            "Proposition 5.4: a corner assignment with connected edge images "
+            "exists, giving a continuous map |I| -> |O| carried by Δ");
+  expect_exact_two_process(r);
 }
 
 TEST(Solvability, WitnessValidatesIndependently) {
-  const SolvabilityResult r = decide_solvability(zoo::subdivision_task(1));
-  ASSERT_TRUE(r.has_chromatic_witness);
   const Task t = zoo::subdivision_task(1);
-  // Re-derive the domain in the result's own pool and validate.
-  EXPECT_TRUE(r.witness.size() > 0);
+  const PipelineResult r = run_pipeline(t);
+  ASSERT_TRUE(r.has_chromatic_witness);
+  ASSERT_NE(r.witness_domain, nullptr);
+  // The witness is a map on Ch^radius(I) in t's own pool: check it against
+  // the probe's domain, and model-check it on every IIS execution.
+  EXPECT_TRUE(
+      validate_decision_map(*t.pool, *r.witness_domain, t, r.witness, true));
+  const auto check =
+      protocols::verify_decision_map(t, r.witness, r.report.radius);
+  EXPECT_TRUE(check.ok) << check.first_failure;
+  EXPECT_GT(check.executions, 0u);
 }
 
 TEST(Solvability, CharacterizationReportPopulated) {
-  const SolvabilityResult r = decide_solvability(zoo::pinwheel());
+  const PipelineResult r = run_pipeline(zoo::pinwheel());
   ASSERT_NE(r.characterization, nullptr);
   EXPECT_EQ(r.characterization->splits.size(), 6u);
   EXPECT_EQ(r.characterization->output_components_after, 3u);
-  EXPECT_FALSE(r.reason.empty());
+  EXPECT_FALSE(r.report.reason.empty());
 }
 
 
 TEST(Solvability, TwistedHourglassUnsolvable) {
-  const SolvabilityResult r = decide_solvability(zoo::twisted_hourglass());
-  EXPECT_EQ(r.verdict, Verdict::Unsolvable);
+  const PipelineResult r = run_pipeline(zoo::twisted_hourglass());
+  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
   // Unlike the real hourglass, no colorless solution exists either.
   EXPECT_FALSE(colorless_probe(zoo::twisted_hourglass(), 2).found);
 }
 
 
 TEST(Solvability, TestAndSetUnsolvable) {
-  EXPECT_EQ(decide_solvability(zoo::test_and_set(3)).verdict, Verdict::Unsolvable);
-  EXPECT_EQ(decide_solvability(zoo::test_and_set(2)).verdict, Verdict::Unsolvable);
+  EXPECT_EQ(run_pipeline(zoo::test_and_set(3)).report.verdict, Verdict::Unsolvable);
+  EXPECT_EQ(run_pipeline(zoo::test_and_set(2)).report.verdict, Verdict::Unsolvable);
 }
 
 TEST(Solvability, WeakSymmetryBreakingSolvableWithIds) {
-  const SolvabilityResult r = decide_solvability(zoo::weak_symmetry_breaking(3));
-  EXPECT_EQ(r.verdict, Verdict::Solvable);
-  EXPECT_EQ(r.radius, 0);  // id-based decision, no communication
+  const PipelineResult r = run_pipeline(zoo::weak_symmetry_breaking(3));
+  EXPECT_EQ(r.report.verdict, Verdict::Solvable);
+  EXPECT_EQ(r.report.radius, 0);  // id-based decision, no communication
 }
 
 
@@ -139,10 +157,10 @@ TEST(Solvability, SurfaceLoopAgreementUnsolvable) {
   // free H1; RP2's essential loop is 2-torsion. Both refuted.
   SolvabilityOptions options;
   options.max_radius = 1;
-  EXPECT_EQ(decide_solvability(zoo::loop_agreement_torus(), options).verdict,
+  EXPECT_EQ(run_pipeline(zoo::loop_agreement_torus(), options).report.verdict,
             Verdict::Unsolvable);
   EXPECT_EQ(
-      decide_solvability(zoo::loop_agreement_projective_plane(), options).verdict,
+      run_pipeline(zoo::loop_agreement_projective_plane(), options).report.verdict,
       Verdict::Unsolvable);
 }
 
@@ -153,10 +171,10 @@ TEST(Solvability, ColdAndLadderProbesAgree) {
   cold.reuse_subdivisions = false;
   cold.reuse_images = false;
   for (const zoo::CatalogEntry& entry : zoo::catalog()) {
-    const SolvabilityResult a = decide_solvability(entry.build());
-    const SolvabilityResult b = decide_solvability(entry.build(), cold);
-    EXPECT_EQ(a.verdict, b.verdict) << entry.name;
-    EXPECT_EQ(a.radius, b.radius) << entry.name;
+    const PipelineResult a = run_pipeline(entry.build());
+    const PipelineResult b = run_pipeline(entry.build(), cold);
+    EXPECT_EQ(a.report.verdict, b.report.verdict) << entry.name;
+    EXPECT_EQ(a.report.radius, b.report.radius) << entry.name;
   }
 }
 
@@ -170,11 +188,11 @@ TEST(Solvability, CapReasonNamesProbeAndRadius) {
   options.node_cap = 50;
   options.max_radius = 1;
   options.use_characterization = false;
-  const SolvabilityResult r = decide_solvability(zoo::set_agreement_32(), options);
-  ASSERT_EQ(r.verdict, Verdict::Unknown);
-  EXPECT_NE(r.reason.find("chromatic probe at radius"), std::string::npos)
-      << r.reason;
-  EXPECT_NE(r.reason.find("node cap"), std::string::npos) << r.reason;
+  const PipelineResult r = run_pipeline(zoo::set_agreement_32(), options);
+  ASSERT_EQ(r.report.verdict, Verdict::Unknown);
+  EXPECT_NE(r.report.reason.find("chromatic probe at radius"), std::string::npos)
+      << r.report.reason;
+  EXPECT_NE(r.report.reason.find("node cap"), std::string::npos) << r.report.reason;
 }
 
 }  // namespace

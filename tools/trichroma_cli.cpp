@@ -48,6 +48,8 @@
 // rename-atomic JSON liveness snapshot (progress, RSS, registry) every S
 // seconds (default 5) — `tail`/`jq` it to monitor an hour-long batch.
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,7 +73,7 @@
 #include "protocols/pipeline.h"
 #include "protocols/verify.h"
 #include "solver/batch.h"
-#include "solver/solvability.h"
+#include "solver/pipeline.h"
 #include "tasks/fingerprint.h"
 #include "tasks/zoo.h"
 
@@ -190,9 +192,9 @@ class TraceSession {
 
 Task load(const char* path) { return io::parse_task(io::read_file(path)); }
 
-void maybe_write_report(const SolvabilityResult& r, const CliOptions& cli) {
-  if (cli.report_path.empty() || r.report == nullptr) return;
-  io::write_text_file(cli.report_path, io::to_json(*r.report));
+void maybe_write_report(const PipelineReport& report, const CliOptions& cli) {
+  if (cli.report_path.empty()) return;
+  io::write_text_file(cli.report_path, io::to_json(report));
   std::printf("report:  %s\n", cli.report_path.c_str());
 }
 
@@ -244,14 +246,14 @@ int cmd_version() {
 
 int cmd_decide(const Task& task, const CliOptions& cli) {
   TraceSession trace(cli.trace_path);
-  const SolvabilityResult r = decide_solvability(task, cli.solve);
+  const PipelineResult r = run_pipeline(task, cli.solve);
   std::printf("%s", task.summary().c_str());
-  std::printf("verdict: %s\n", to_string(r.verdict));
-  std::printf("reason:  %s\n", r.reason.c_str());
-  if (!cli.solve.cache_dir.empty() && r.report != nullptr) {
-    std::printf("cache:   %s\n", r.report->cache.c_str());
+  std::printf("verdict: %s\n", to_string(r.report.verdict));
+  std::printf("reason:  %s\n", r.report.reason.c_str());
+  if (!cli.solve.cache_dir.empty()) {
+    std::printf("cache:   %s\n", r.report.cache.c_str());
   }
-  maybe_write_report(r, cli);
+  maybe_write_report(r.report, cli);
   maybe_write_metrics(cli);
   if (r.characterization != nullptr) {
     // The characterization runs on a clone of the task, so the report must
@@ -260,7 +262,7 @@ int cmd_decide(const Task& task, const CliOptions& cli) {
                 r.characterization->report(*r.characterization->canonical.pool)
                     .c_str());
   }
-  return r.verdict == Verdict::Unknown ? 1 : 0;
+  return r.report.verdict == Verdict::Unknown ? 1 : 0;
 }
 
 int cmd_batch(const CliOptions& cli) {
@@ -409,16 +411,16 @@ int cmd_synth(const Task& task, const CliOptions& cli) {
   TraceSession trace(cli.trace_path);
   SolvabilityOptions solve = cli.solve;
   solve.cache_dir.clear();
-  const SolvabilityResult r = decide_solvability(task, solve);
-  maybe_write_report(r, cli);
-  if (r.verdict != Verdict::Solvable || !r.has_chromatic_witness) {
+  const PipelineResult r = run_pipeline(task, solve);
+  maybe_write_report(r.report, cli);
+  if (r.report.verdict != Verdict::Solvable || !r.has_chromatic_witness) {
     std::printf("verdict: %s — nothing to synthesize\nreason: %s\n",
-                to_string(r.verdict), r.reason.c_str());
+                to_string(r.report.verdict), r.report.reason.c_str());
     return 1;
   }
   std::printf("protocol: run %d round(s) of iterated immediate snapshot,\n"
               "then decide by the table below (view -> output).\n\n",
-              r.radius);
+              r.report.radius);
   VertexPool& pool = *task.pool;
   // Order rows by view vertex id for stable output.
   std::vector<std::pair<VertexId, VertexId>> rows(r.witness.entries().begin(),
@@ -430,7 +432,8 @@ int cmd_synth(const Task& task, const CliOptions& cli) {
     std::printf("  %-48s -> %s\n", pool.name(view).c_str(),
                 pool.name(decision).c_str());
   }
-  const auto check = protocols::verify_decision_map(task, r.witness, r.radius);
+  const auto check =
+      protocols::verify_decision_map(task, r.witness, r.report.radius);
   std::printf("\nmodel-checked against %zu IIS executions: %s\n",
               check.executions, check.ok ? "all valid" : check.first_failure.c_str());
   return check.ok ? 0 : 1;
@@ -471,8 +474,11 @@ int cmd_run(const Task& task, std::uint64_t seed) {
 
 bool parse_long(const char* text, long min, long max, long* out) {
   char* end = nullptr;
+  errno = 0;
   const long n = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || n < min || n > max) return false;
+  if (end == text || *end != '\0' || errno == ERANGE || n < min || n > max) {
+    return false;
+  }
   *out = n;
   return true;
 }
@@ -630,8 +636,14 @@ int main(int argc, char** argv) {
     if (command == "synth") return cmd_synth(task, cli);
     if (command == "decide") return cmd_decide(task, cli);
     if (command == "split") return cmd_split(task);
-    const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
-    return cmd_run(task, seed);
+    long seed = 1;
+    if (argc > 3 && !parse_long(argv[3], 0, LONG_MAX, &seed)) {
+      std::fprintf(stderr,
+                   "error: run expects a non-negative integer seed, got '%s'\n",
+                   argv[3]);
+      return usage();
+    }
+    return cmd_run(task, static_cast<std::uint64_t>(seed));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
